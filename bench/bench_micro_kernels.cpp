@@ -1,7 +1,8 @@
 // Engineering micro-benchmarks (google-benchmark): the kernels whose costs
 // determine every number in the paper tables — conv forward at each nominal
-// scale, the regressor overhead (paper: "2 ms, ~3% of R-FCN"), NMS, optical
-// flow, and Seq-NMS.
+// scale, the scalar stages around it (scene render, detection decode), the
+// regressor overhead (paper: "2 ms, ~3% of R-FCN"), NMS, optical flow, and
+// Seq-NMS.
 #include <benchmark/benchmark.h>
 
 #include "adascale/scale_regressor.h"
@@ -145,6 +146,40 @@ void BM_BackboneForward600_Int8Maddwd(benchmark::State& state) {
   backbone_int8_at_isa(state, KernelIsa::kAvx512);
 }
 BENCHMARK(BM_BackboneForward600_Int8Maddwd);
+
+// The two scalar stages around the backbone GEMMs on a serving frame.
+// BM_Render rasterizes a validation scene at a nominal scale; BM_Decode600
+// is detect_from_features on the detector's own scale-600 features after
+// one forward, i.e. the candidate scan, per-class NMS and top-K with no
+// head recompute.  The fixture detector has random weights: no anchor is
+// confidently background, so the decode prefilter skips none of them and
+// this row times the softmax + NMS path a trained model mostly avoids.
+void BM_Render(benchmark::State& state) {
+  Fixture& f = fixture();
+  const Renderer renderer = f.dataset.make_renderer();
+  const Scene& scene = *f.dataset.val_frames()[0];
+  const int scale = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    Tensor img =
+        renderer.render_at_scale(scene, scale, f.dataset.scale_policy());
+    benchmark::DoNotOptimize(img.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Render)->Arg(600)->Arg(240);
+
+void BM_Decode600(benchmark::State& state) {
+  Fixture& f = fixture();
+  const Renderer renderer = f.dataset.make_renderer();
+  const Tensor img = renderer.render_at_scale(
+      *f.dataset.val_frames()[0], 600, f.dataset.scale_policy());
+  const Tensor& features = f.detector->forward(img);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.detector->detect_from_features(features, img.h(), img.w()));
+  }
+}
+BENCHMARK(BM_Decode600);
 
 void BM_RegressorPredict(benchmark::State& state) {
   Fixture& f = fixture();

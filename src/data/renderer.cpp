@@ -96,21 +96,51 @@ float texture_mean(TexturePattern tex) {
   }
 }
 
-Pixel background_color(const Background& bg, float wx, float wy,
-                       float pixel_world) {
-  Pixel p{bg.base.r + bg.gradient.r * wy, bg.base.g + bg.gradient.g * wy,
-          bg.base.b + bg.gradient.b * wy};
-  for (const Background::Wave& w : bg.waves) {
-    const float atten = footprint_attenuation(w.freq * pixel_world);
-    if (atten < 1e-3f) continue;
-    float axis = wx * std::cos(w.angle) + wy * std::sin(w.angle);
-    float v = atten * w.amplitude *
-              std::sin(6.2831853f * w.freq * axis + w.phase);
-    p.r += v;
-    p.g += v * 0.8f;
-    p.b += v * 1.2f;
-  }
-  return p;
+/// A background wave with everything that does not depend on the pixel
+/// evaluated once per render.  Waves the footprint attenuates below 1e-3
+/// are dropped here instead of per pixel.
+struct PreparedWave {
+  float ca = 0.0f, sa = 0.0f;  ///< cos / sin of the wave angle
+  float k = 0.0f;              ///< 6.2831853f * freq
+  float phase = 0.0f;
+  float gain = 0.0f;           ///< attenuation * amplitude
+};
+
+/// Pixels [begin, end) along one image axis.
+struct PixelSpan {
+  int begin = 0, end = 0;
+};
+
+/// A painted instance with its per-render constants, plus the pixel window
+/// its bounding circle can reach (see reach_span).
+struct PreparedInstance {
+  const ObjectInstance* obj = nullptr;
+  const ClassSignature* sig = nullptr;
+  float reach2 = 0.0f;         ///< squared bounding-circle radius
+  float ca = 0.0f, sa = 0.0f;  ///< cos / sin of the instance angle
+  float su = 0.0f, sv = 0.0f;  ///< size * sqrt(aspect), size / sqrt(aspect)
+  float edge = 0.0f;           ///< AA ramp width in local units
+  float t_mean = 0.0f;         ///< texture mean
+  float t_atten = 0.0f;        ///< texture footprint attenuation
+  PixelSpan rows, cols;
+};
+
+/// Pixels [begin, end) of an axis of `n` pixels, `per_world` pixels per world
+/// unit, whose centers lie within `reach` of world coordinate `center`.  The
+/// window is widened by 2 px plus a relative margin far above float rounding,
+/// so it holds every pixel the per-pixel bounding-circle test can accept and
+/// that test alone still decides each one.  A non-finite extent keeps the
+/// whole axis, as the per-pixel test would.
+PixelSpan reach_span(float center, float reach, int per_world, int n) {
+  const double c = center;
+  const double r = std::fabs(static_cast<double>(reach));
+  const double slack = 2.0 + (std::fabs(c) + r) * per_world * 1e-6;
+  const double lo = std::floor((c - r) * per_world - 0.5 - slack);
+  const double hi = std::ceil((c + r) * per_world - 0.5 + slack);
+  if (std::isnan(lo) || std::isnan(hi)) return {0, n};
+  const double top = static_cast<double>(n);
+  return {static_cast<int>(std::clamp(lo, 0.0, top)),
+          static_cast<int>(std::clamp(hi + 1.0, 0.0, top))};
 }
 
 }  // namespace
@@ -121,72 +151,119 @@ Tensor Renderer::render(const Scene& scene, int h, int w) const {
   // Anti-alias width: one pixel footprint in world units.
   const float aa_world = inv_scale;
 
+  std::vector<PreparedWave> waves;
+  waves.reserve(scene.background.waves.size());
+  for (const Background::Wave& wv : scene.background.waves) {
+    const float atten = footprint_attenuation(wv.freq * aa_world);
+    if (atten < 1e-3f) continue;
+    waves.push_back({std::cos(wv.angle), std::sin(wv.angle),
+                     6.2831853f * wv.freq, wv.phase, atten * wv.amplitude});
+  }
+
   // Paint order: background, then clutter, then objects (objects occlude
   // clutter; later objects occlude earlier ones).
-  std::vector<const ObjectInstance*> paint;
+  std::vector<PreparedInstance> paint;
   paint.reserve(scene.clutter.size() + scene.objects.size());
-  for (const auto& c : scene.clutter) paint.push_back(&c);
-  for (const auto& o : scene.objects) paint.push_back(&o);
+  auto prepare = [&](const ObjectInstance& obj) {
+    PreparedInstance p;
+    p.obj = &obj;
+    p.sig = &catalog_->at(obj.class_id);
+    const float reach = obj.size * (obj.aspect > 1.0f
+                                        ? std::sqrt(obj.aspect)
+                                        : 1.0f / std::sqrt(obj.aspect)) *
+                        1.5f;
+    p.reach2 = reach * reach;
+    p.ca = std::cos(obj.angle);
+    p.sa = std::sin(obj.angle);
+    const float a = std::sqrt(obj.aspect);
+    p.su = obj.size * a;
+    p.sv = obj.size / a;
+    // Convert local-unit field to world units (approx) for AA width.
+    const float aa_local = aa_world / std::max(obj.size, 1e-4f);
+    p.edge = aa_local * 1.5f;
+    // Texture fades toward its mean when its cycles are sub-pixel:
+    // sin(freq*pi*u) has freq/2 cycles per local unit, and one pixel
+    // spans aa_local local units.
+    p.t_mean = texture_mean(p.sig->texture);
+    p.t_atten = footprint_attenuation(0.5f * p.sig->texture_freq * aa_local);
+    p.rows = reach_span(obj.cy, reach, h, h);
+    p.cols = reach_span(obj.cx, reach, h, w);
+    paint.push_back(p);
+  };
+  for (const auto& c : scene.clutter) prepare(c);
+  for (const auto& o : scene.objects) prepare(o);
 
+  const Background& bg = scene.background;
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
   // Rows are independent (each writes only its own pixels of the three
-  // channel planes), so they fan out across the runtime pool.
+  // channel planes), so they fan out across the runtime pool.  Each pixel
+  // is composited in paint order exactly as a per-pixel loop would: the
+  // three planes hold the unclamped color until the row is done.
   parallel_for(h, 8, [&](std::int64_t ib, std::int64_t ie) {
   for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
+    float* out_r = img.data() + static_cast<std::size_t>(i) * w;
+    float* out_g = out_r + plane;
+    float* out_b = out_g + plane;
     const float wy = (static_cast<float>(i) + 0.5f) * inv_scale;
+    const float base_r = bg.base.r + bg.gradient.r * wy;
+    const float base_g = bg.base.g + bg.gradient.g * wy;
+    const float base_b = bg.base.b + bg.gradient.b * wy;
     for (int j = 0; j < w; ++j) {
       const float wx = (static_cast<float>(j) + 0.5f) * inv_scale;
-      Pixel px = background_color(scene.background, wx, wy, aa_world);
+      Pixel px{base_r, base_g, base_b};
+      for (const PreparedWave& wv : waves) {
+        const float axis = wx * wv.ca + wy * wv.sa;
+        const float v = wv.gain * std::sin(wv.k * axis + wv.phase);
+        px.r += v;
+        px.g += v * 0.8f;
+        px.b += v * 1.2f;
+      }
+      out_r[j] = px.r;
+      out_g[j] = px.g;
+      out_b[j] = px.b;
+    }
 
-      for (const ObjectInstance* obj : paint) {
+    for (const PreparedInstance& p : paint) {
+      if (i < p.rows.begin || i >= p.rows.end) continue;
+      const ObjectInstance& obj = *p.obj;
+      const ClassSignature& sig = *p.sig;
+      const float dy = wy - obj.cy;
+      for (int j = p.cols.begin; j < p.cols.end; ++j) {
+        const float wx = (static_cast<float>(j) + 0.5f) * inv_scale;
         // Cheap reject on the bounding circle.
-        const float dx = wx - obj->cx;
-        const float dy = wy - obj->cy;
-        const float reach = obj->size * (obj->aspect > 1.0f
-                                             ? std::sqrt(obj->aspect)
-                                             : 1.0f / std::sqrt(obj->aspect)) *
-                            1.5f;
-        if (dx * dx + dy * dy > reach * reach) continue;
+        const float dx = wx - obj.cx;
+        if (dx * dx + dy * dy > p.reach2) continue;
 
-        const ClassSignature& sig = catalog_->at(obj->class_id);
         // World -> object-local coordinates.
-        const float ca = std::cos(obj->angle);
-        const float sa = std::sin(obj->angle);
-        const float rx = dx * ca + dy * sa;
-        const float ry = -dx * sa + dy * ca;
-        const float a = std::sqrt(obj->aspect);
-        const float u = rx / (obj->size * a);
-        const float v = ry / (obj->size / a);
+        const float rx = dx * p.ca + dy * p.sa;
+        const float ry = -dx * p.sa + dy * p.ca;
+        const float u = rx / p.su;
+        const float v = ry / p.sv;
 
         const float field = shape_field(sig.shape, u, v);
-        // Convert local-unit field to world units (approx) for AA width.
-        const float aa_local = aa_world / std::max(obj->size, 1e-4f);
-        const float alpha = smoothstep(0.0f, aa_local * 1.5f, field);
+        const float alpha = smoothstep(0.0f, p.edge, field);
         if (alpha <= 0.0f) continue;
 
-        // Texture fades toward its mean when its cycles are sub-pixel:
-        // sin(freq*pi*u) has freq/2 cycles per local unit, and one pixel
-        // spans aa_local local units.
         const float raw_t = texture_field(sig.texture, u, v, sig.texture_freq,
-                                          obj->texture_phase);
-        const float t_mean = texture_mean(sig.texture);
-        const float t = t_mean + (raw_t - t_mean) *
-                                     footprint_attenuation(
-                                         0.5f * sig.texture_freq * aa_local);
-        const float br = obj->brightness;
+                                          obj.texture_phase);
+        const float t = p.t_mean + (raw_t - p.t_mean) * p.t_atten;
+        const float br = obj.brightness;
         const float cr =
-            (sig.color.r * (1.0f - t) + sig.accent.r * t) * br + obj->tint.r;
+            (sig.color.r * (1.0f - t) + sig.accent.r * t) * br + obj.tint.r;
         const float cg =
-            (sig.color.g * (1.0f - t) + sig.accent.g * t) * br + obj->tint.g;
+            (sig.color.g * (1.0f - t) + sig.accent.g * t) * br + obj.tint.g;
         const float cb =
-            (sig.color.b * (1.0f - t) + sig.accent.b * t) * br + obj->tint.b;
-        px.r = px.r * (1.0f - alpha) + cr * alpha;
-        px.g = px.g * (1.0f - alpha) + cg * alpha;
-        px.b = px.b * (1.0f - alpha) + cb * alpha;
+            (sig.color.b * (1.0f - t) + sig.accent.b * t) * br + obj.tint.b;
+        out_r[j] = out_r[j] * (1.0f - alpha) + cr * alpha;
+        out_g[j] = out_g[j] * (1.0f - alpha) + cg * alpha;
+        out_b[j] = out_b[j] * (1.0f - alpha) + cb * alpha;
       }
+    }
 
-      img.at(0, 0, i, j) = std::clamp(px.r, 0.0f, 1.0f);
-      img.at(0, 1, i, j) = std::clamp(px.g, 0.0f, 1.0f);
-      img.at(0, 2, i, j) = std::clamp(px.b, 0.0f, 1.0f);
+    for (int j = 0; j < w; ++j) {
+      out_r[j] = std::clamp(out_r[j], 0.0f, 1.0f);
+      out_g[j] = std::clamp(out_g[j], 0.0f, 1.0f);
+      out_b[j] = std::clamp(out_b[j], 0.0f, 1.0f);
     }
   }
   });

@@ -13,6 +13,19 @@
 
 namespace ada {
 
+namespace {
+
+/// Gathers one anchor's `kp1` class logits for image `n` of the head output.
+void gather_anchor_logits(const Tensor& cls, int n, int kp1, int cell, int a,
+                          float* out) {
+  const int fw = cls.w();
+  const int i = cell / fw;
+  const int j = cell % fw;
+  for (int c = 0; c < kp1; ++c) out[c] = cls.at(n, a * kp1 + c, i, j);
+}
+
+}  // namespace
+
 std::string DetectorConfig::fingerprint() const {
   std::ostringstream os;
   os << "det:v5:k=" << num_classes << ":c=" << c1 << '/' << c2 << '/' << c3
@@ -122,15 +135,6 @@ const Tensor& Detector::forward(const Tensor& image) {
   return features_;
 }
 
-void Detector::anchor_logits(const Tensor& cls, int n, int cell, int a,
-                             float* out) const {
-  const int kp1 = cfg_.num_classes + 1;
-  const int fw = cls.w();
-  const int i = cell / fw;
-  const int j = cell % fw;
-  for (int c = 0; c < kp1; ++c) out[c] = cls.at(n, a * kp1 + c, i, j);
-}
-
 DetectionOutput Detector::detect(const Tensor& image) {
   Timer timer;
   forward(image);
@@ -158,30 +162,61 @@ std::vector<DetectionOutput> Detector::detect_batch(const Tensor& images) {
   return outs;
 }
 
-DetectionOutput Detector::decode_image(int n, int image_h, int image_w,
-                                       const std::vector<Box>& anchors) const {
-  const Tensor& cls = heads_.cls;
-  const Tensor& reg = heads_.reg;
-  const int fh = cls.h(), fw = cls.w();
-  const int per_cell = cfg_.anchors.per_cell();
-  const int kp1 = cfg_.num_classes + 1;
-
-  // Collect candidates above the score threshold.
+std::vector<Detection> decode_candidates(const Tensor& cls, const Tensor& reg,
+                                         int n, int num_classes,
+                                         const std::vector<Box>& anchors,
+                                         float score_threshold, int image_h,
+                                         int image_w) {
+  const int fw = cls.w();
+  const int cells = cls.h() * fw;
+  const int kp1 = num_classes + 1;
+  const int per_cell = cls.c() / kp1;
+  assert(per_cell * kp1 == cls.c() && reg.c() == per_cell * 4);
+  assert(anchors.size() == static_cast<std::size_t>(cells) * per_cell);
   std::vector<Detection> cand;
-  std::vector<float> logits(static_cast<std::size_t>(kp1));
-  std::vector<float> probs(static_cast<std::size_t>(kp1));
-  for (int cell = 0; cell < fh * fw; ++cell) {
+  if (num_classes < 1) return cand;  // no foreground class to score
+
+  // A foreground probability e^fg / sum_c e^c is at most e^(fg - bg), so an
+  // anchor whose background logit leads its best foreground logit by more
+  // than ln(1/threshold) cannot reach the threshold and skips the softmax.
+  // The extra 0.01 (a factor of 0.99 in probability) dwarfs the float
+  // rounding of this test and of the softmax, so the candidates are exactly
+  // those a softmax over every anchor yields.  A zero, negative or NaN threshold makes the
+  // margin infinite or NaN, and then nothing skips.
+  const float skip_margin = std::log(1.0f / score_threshold) + 0.01f;
+
+  ScratchFrame frame(&scratch_arena());
+  // Channel-major sweep: each anchor's maximum foreground logit per cell,
+  // reading every class plane contiguously.
+  const float* planes = cls.data() + static_cast<std::size_t>(n) * cls.image_size();
+  float* max_fg = frame.alloc(static_cast<std::size_t>(per_cell) * cells);
+  for (int a = 0; a < per_cell; ++a) {
+    float* m = max_fg + static_cast<std::size_t>(a) * cells;
+    const float* plane = planes + static_cast<std::size_t>(a * kp1 + 1) * cells;
+    std::copy(plane, plane + cells, m);
+    for (int c = 2; c < kp1; ++c) {
+      plane += cells;
+      for (int k = 0; k < cells; ++k) m[k] = std::max(m[k], plane[k]);
+    }
+  }
+
+  float* logits = frame.alloc(static_cast<std::size_t>(kp1));
+  float* probs = frame.alloc(static_cast<std::size_t>(kp1));
+  for (int cell = 0; cell < cells; ++cell) {
     for (int a = 0; a < per_cell; ++a) {
-      anchor_logits(cls, n, cell, a, logits.data());
-      softmax_span(logits.data(), kp1, probs.data());
+      const float bg = planes[static_cast<std::size_t>(a * kp1) * cells + cell];
+      if (bg - max_fg[static_cast<std::size_t>(a) * cells + cell] > skip_margin)
+        continue;
+      gather_anchor_logits(cls, n, kp1, cell, a, logits);
+      softmax_span(logits, kp1, probs);
       int best_c = 0;
       float best_p = 0.0f;
       for (int c = 1; c < kp1; ++c)
-        if (probs[static_cast<std::size_t>(c)] > best_p) {
-          best_p = probs[static_cast<std::size_t>(c)];
+        if (probs[c] > best_p) {
+          best_p = probs[c];
           best_c = c;
         }
-      if (best_c == 0 || best_p < cfg_.score_threshold) continue;
+      if (best_c == 0 || best_p < score_threshold) continue;
 
       const int i = cell / fw, j = cell % fw;
       std::array<float, 4> delta;
@@ -194,12 +229,20 @@ DetectionOutput Detector::decode_image(int n, int image_h, int image_w,
       det.box = box;
       det.class_id = best_c - 1;
       det.score = best_p;
-      det.probs = probs;
+      det.probs.assign(probs, probs + kp1);
       det.delta = delta;
       det.anchor = anchor;
       cand.push_back(std::move(det));
     }
   }
+  return cand;
+}
+
+DetectionOutput Detector::decode_image(int n, int image_h, int image_w,
+                                       const std::vector<Box>& anchors) const {
+  std::vector<Detection> cand =
+      decode_candidates(heads_.cls, heads_.reg, n, cfg_.num_classes, anchors,
+                        cfg_.score_threshold, image_h, image_w);
 
   // Per-class NMS (the released R-FCN protocol) + top-K.  Class-agnostic
   // suppression here loses overlapping objects of different classes — the
@@ -283,7 +326,7 @@ float Detector::loss_impl(const Tensor& image, const std::vector<GtBox>& gts,
     for (std::size_t k = 0; k < bg.size(); ++k) {
       const int cell = bg[k] / per_cell;
       const int a = bg[k] % per_cell;
-      anchor_logits(cls, 0, cell, a, lg.data());
+      gather_anchor_logits(cls, 0, kp1, cell, a, lg.data());
       bg_loss[k] = softmax_cross_entropy_span(lg.data(), kp1, 0, nullptr);
     }
     std::vector<int> idx(bg.size());
@@ -329,7 +372,7 @@ float Detector::loss_impl(const Tensor& image, const std::vector<GtBox>& gts,
     const int a = flat_a % per_cell;
     const int i = cell / fw, j = cell % fw;
     const float cls_norm = is_fg ? fg_norm : bg_norm;
-    anchor_logits(cls, 0, cell, a, logits.data());
+    gather_anchor_logits(cls, 0, kp1, cell, a, logits.data());
     std::fill(dlogits.begin(), dlogits.end(), 0.0f);
     const AnchorTarget& t = targets[static_cast<std::size_t>(flat_a)];
     const float lcls = softmax_cross_entropy_span(

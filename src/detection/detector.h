@@ -199,13 +199,9 @@ class Detector {
   float loss_impl(const Tensor& image, const std::vector<GtBox>& gts,
                   Rng* rng, bool train);
 
-  /// Gathers one anchor's class logits for image `n` of the head output.
-  void anchor_logits(const Tensor& cls, int n, int cell, int a,
-                     float* out) const;
-
-  /// Decodes image `n` of the current head outputs: candidates above the
-  /// score threshold, per-class NMS, top-K.  Shared by the single-image and
-  /// batched paths so they cannot drift.
+  /// Decodes image `n` of the current head outputs: decode_candidates,
+  /// per-class NMS, top-K.  Shared by the single-image and batched paths so
+  /// they cannot drift.
   DetectionOutput decode_image(int n, int image_h, int image_w,
                                const std::vector<Box>& anchors) const;
 
@@ -225,6 +221,25 @@ class Detector {
   Tensor features_;  ///< last backbone output
   HeadOutputs heads_;
 };
+
+/// Candidate detections of image `n` of the detection head outputs, the
+/// scan Detector::decode_image runs before NMS.  `cls` is (N, A*(K+1), fh,
+/// fw) with K = `num_classes`, `reg` is (N, A*4, fh, fw) and `anchors` is
+/// the fh x fw generate_anchors grid.  Each anchor whose best foreground
+/// softmax probability reaches `score_threshold` yields one Detection, its
+/// box decoded and clipped to image_h x image_w; boxes under 1 px are
+/// dropped.  Order is cell-major, anchor-minor.
+///
+/// A channel-major sweep first finds each anchor's maximum foreground
+/// logit.  An anchor whose background logit leads it by more than
+/// ln(1/score_threshold) + 0.01 skips the softmax: its best probability is
+/// at most exp(max_fg - bg), below the threshold.  The result is byte-
+/// identical to a softmax over every anchor.
+std::vector<Detection> decode_candidates(const Tensor& cls, const Tensor& reg,
+                                         int n, int num_classes,
+                                         const std::vector<Box>& anchors,
+                                         float score_threshold, int image_h,
+                                         int image_w);
 
 /// Deep-copies a detector: same architecture/config, parameter values copied
 /// from `src`.  Every concurrent user (MultiStreamRunner stream,

@@ -4,17 +4,24 @@
 #include <cassert>
 #include <cmath>
 
+#include "runtime/scratch.h"
+
 namespace ada {
 
 void softmax_span(const float* logits, int num_classes, float* probs) {
   float mx = logits[0];
   for (int c = 1; c < num_classes; ++c) mx = std::max(mx, logits[c]);
+  // Each exponential is evaluated once, kept for the quotient; the arena
+  // keeps the call allocation-free after warm-up.
+  ScratchFrame frame(&scratch_arena());
+  double* e = frame.alloc_as<double>(static_cast<std::size_t>(num_classes));
   double denom = 0.0;
+  for (int c = 0; c < num_classes; ++c) {
+    e[c] = std::exp(static_cast<double>(logits[c] - mx));
+    denom += e[c];
+  }
   for (int c = 0; c < num_classes; ++c)
-    denom += std::exp(static_cast<double>(logits[c] - mx));
-  for (int c = 0; c < num_classes; ++c)
-    probs[c] = static_cast<float>(
-        std::exp(static_cast<double>(logits[c] - mx)) / denom);
+    probs[c] = static_cast<float>(e[c] / denom);
 }
 
 float softmax_cross_entropy_span(const float* logits, int num_classes,

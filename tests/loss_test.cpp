@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace ada {
 namespace {
@@ -110,6 +114,36 @@ TEST(Loss, MseZeroAtTarget) {
   float d = 0.0f;
   EXPECT_EQ(mse_scalar(1.5f, 1.5f, &d), 0.0f);
   EXPECT_EQ(d, 0.0f);
+}
+
+
+// softmax_span evaluates each exponential once and reuses it for the
+// quotient.  Its bytes must equal the formula that evaluates it twice, which
+// is what every trained model and served detection was computed with.
+TEST(Loss, SoftmaxSpanBytesEqualTwoExpFormula) {
+  Rng rng(2024);
+  std::vector<float> logits, got, want;
+  for (int trial = 0; trial < 10000; ++trial) {
+    const int n = trial % 4 == 0 ? rng.uniform_int(1, 64) : 31;
+    const float mag = rng.uniform(0.0f, 80.0f);
+    logits.resize(static_cast<std::size_t>(n));
+    for (float& l : logits) l = rng.uniform(-mag, mag);
+    got.assign(logits.size(), 0.0f);
+    softmax_span(logits.data(), n, got.data());
+
+    float mx = logits[0];
+    for (int c = 1; c < n; ++c) mx = std::max(mx, logits[static_cast<std::size_t>(c)]);
+    double denom = 0.0;
+    for (int c = 0; c < n; ++c)
+      denom += std::exp(static_cast<double>(logits[static_cast<std::size_t>(c)] - mx));
+    want.assign(logits.size(), 0.0f);
+    for (int c = 0; c < n; ++c)
+      want[static_cast<std::size_t>(c)] = static_cast<float>(
+          std::exp(static_cast<double>(logits[static_cast<std::size_t>(c)] - mx)) / denom);
+
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+        << "trial " << trial << " (n=" << n << ", magnitude " << mag << ")";
+  }
 }
 
 }  // namespace
