@@ -10,50 +10,39 @@
 
 #include "experiments/harness.h"
 #include "util/table.h"
-#include "video/adaptive_dff.h"
 
 using namespace ada;
 
 namespace {
 
-std::vector<SnippetRun> run_adaptive(Harness* h, Detector* det,
-                                     ScaleRegressor* reg_or_null,
-                                     const AdaptiveDffConfig& cfg,
-                                     double* key_share) {
-  const Renderer renderer = h->dataset().make_renderer();
-  AdaptiveDffPipeline pipeline(det, reg_or_null, &renderer,
-                               h->dataset().scale_policy(), cfg,
-                               ScaleSet::reg_default());
-  const int ref_h = h->dataset().scale_policy().render_h(600);
-  const int ref_w = h->dataset().scale_policy().render_w(600);
-
-  std::vector<SnippetRun> runs;
+/// Fraction of frames that ran the backbone.
+double key_share(const std::vector<SnippetRun>& runs) {
   long keys = 0, frames = 0;
-  for (const Snippet& snip : h->dataset().val_snippets()) {
-    pipeline.reset();
-    SnippetRun run;
-    for (const Scene& scene : snip.frames) {
-      AdaptiveDffFrameOutput out = pipeline.process(scene);
-      std::vector<EvalDetection> dets;
-      dets.reserve(out.detections.detections.size());
-      for (const Detection& d : out.detections.detections) {
-        EvalDetection e;
-        e.box = rescale_box(d.box, out.detections.image_h,
-                            out.detections.image_w, ref_h, ref_w);
-        e.class_id = d.class_id;
-        e.score = d.score;
-        dets.push_back(e);
-      }
-      run.frame_dets.push_back(std::move(dets));
-      run.frame_ms.push_back(out.total_ms());
-      run.frame_scales.push_back(out.scale_used);
-      if (out.is_key) ++keys;
-      ++frames;
-    }
-    runs.push_back(std::move(run));
+  for (const SnippetRun& run : runs) {
+    for (bool key : run.frame_keys) keys += key ? 1 : 0;
+    frames += static_cast<long>(run.frame_keys.size());
   }
-  *key_share = frames > 0 ? static_cast<double>(keys) / frames : 0.0;
-  return runs;
+  return frames > 0 ? static_cast<double>(keys) / frames : 0.0;
+}
+
+DffServingConfig fixed_k10(bool adascale) {
+  DffServingConfig cfg;
+  cfg.policy = DffServingConfig::Keyframe::kFixedInterval;
+  cfg.key_interval = 10;
+  cfg.adascale = adascale;
+  return cfg;
+}
+
+/// The residual trigger alone, refreshing at least every 20 frames (the
+/// scale-jump trigger is off so the rows isolate flow-quality keyframing).
+DffServingConfig adaptive(float threshold, bool adascale) {
+  DffServingConfig cfg;
+  cfg.policy = DffServingConfig::Keyframe::kAdaptive;
+  cfg.residual_threshold = threshold;
+  cfg.max_interval = 20;
+  cfg.scale_jump_frac = 0.0f;
+  cfg.adascale = adascale;
+  return cfg;
 }
 
 }  // namespace
@@ -65,43 +54,34 @@ int main() {
   ScaleRegressor* reg =
       h.regressor(ScaleSet::train_default(), h.default_regressor_config());
 
-  DffConfig fixed_cfg;  // key interval 10
-  AdaptiveDffConfig tight;
-  tight.residual_threshold = 0.02f;
-  AdaptiveDffConfig loose;
-  loose.residual_threshold = 0.06f;
-
   struct Row {
-    MethodRun run;
-    double key_share;
+    const char* label;
+    DffServingConfig cfg;
   };
-  std::vector<Row> rows;
-
-  MethodRun dff = h.evaluate(
-      "DFF (fixed k=10)", h.run_dff(det, nullptr, fixed_cfg, ScaleSet::reg_default()));
-  rows.push_back({dff, 1.0 / fixed_cfg.key_interval});
-
-  double share = 0.0;
-  auto runs = run_adaptive(&h, det, nullptr, tight, &share);
-  rows.push_back({h.evaluate("adaptive (thr 0.02)", std::move(runs)), share});
-  runs = run_adaptive(&h, det, nullptr, loose, &share);
-  rows.push_back({h.evaluate("adaptive (thr 0.06)", std::move(runs)), share});
-
-  MethodRun dff_ada = h.evaluate(
-      "DFF+AdaScale (fixed)", h.run_dff(det, reg, fixed_cfg, ScaleSet::reg_default()));
-  rows.push_back({dff_ada, 1.0 / fixed_cfg.key_interval});
-  runs = run_adaptive(&h, det, reg, tight, &share);
-  rows.push_back({h.evaluate("adaptive+AdaScale (0.02)", std::move(runs)), share});
+  const Row specs[] = {
+      {"DFF (fixed k=10)", fixed_k10(false)},
+      {"adaptive (thr 0.02)", adaptive(0.02f, false)},
+      {"adaptive (thr 0.06)", adaptive(0.06f, false)},
+      {"DFF+AdaScale (fixed)", fixed_k10(true)},
+      {"adaptive+AdaScale (0.02)", adaptive(0.02f, true)},
+  };
 
   TextTable table({"method", "mAP(%)", "ms/frame", "key share(%)"});
-  for (const Row& r : rows)
-    table.add_row({r.run.label, fmt(100.0 * r.run.eval.map, 1),
-                   fmt(r.run.mean_ms, 1), fmt(100.0 * r.key_share, 1)});
+  std::vector<MethodRun> runs;
+  std::vector<double> shares;
+  for (const Row& spec : specs) {
+    std::vector<SnippetRun> snippets =
+        h.run_dff(det, reg, spec.cfg, ScaleSet::reg_default());
+    shares.push_back(key_share(snippets));
+    runs.push_back(h.evaluate(spec.label, std::move(snippets)));
+    table.add_row({runs.back().label, fmt(100.0 * runs.back().eval.map, 1),
+                   fmt(runs.back().mean_ms, 1), fmt(100.0 * shares.back(), 1)});
+  }
   std::printf("%s\n", table.to_string().c_str());
 
   std::printf("summary: loose threshold uses %.0f%% keys at %+.1f mAP vs "
               "fixed DFF; AdaScale composes with the adaptive scheduler\n",
-              100.0 * rows[2].key_share,
-              100.0 * (rows[2].run.eval.map - rows[0].run.eval.map));
+              100.0 * shares[2],
+              100.0 * (runs[2].eval.map - runs[0].eval.map));
   return 0;
 }

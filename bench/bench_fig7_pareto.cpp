@@ -25,16 +25,23 @@ int main() {
   ScaleRegressor* reg = h.regressor(ScaleSet::train_default(),
                                     h.default_regressor_config());
   const ScaleSet sreg = ScaleSet::reg_default();
-  DffConfig dff_cfg;  // key interval 10, as in the paper's DFF
+  // The paper's DFF: a key every 10 frames (the serving default is
+  // adaptive, so the fixed schedule is set explicitly).  Plain DFF keeps
+  // the scale at 600.
+  DffServingConfig dff_ada;
+  dff_ada.policy = DffServingConfig::Keyframe::kFixedInterval;
+  dff_ada.key_interval = 10;
+  DffServingConfig dff_plain = dff_ada;
+  dff_plain.adascale = false;
   SeqNmsConfig seqnms_cfg;
 
   std::vector<MethodRun> runs;
   runs.push_back(h.evaluate("R-FCN (fixed 600)", h.run_fixed(det, 600)));
   runs.push_back(
       h.evaluate("R-FCN + AdaScale", h.run_adascale(det, reg, sreg)));
-  runs.push_back(h.evaluate("DFF", h.run_dff(det, nullptr, dff_cfg, sreg)));
+  runs.push_back(h.evaluate("DFF", h.run_dff(det, reg, dff_plain, sreg)));
   runs.push_back(
-      h.evaluate("DFF + AdaScale", h.run_dff(det, reg, dff_cfg, sreg)));
+      h.evaluate("DFF + AdaScale", h.run_dff(det, reg, dff_ada, sreg)));
   runs.push_back(h.evaluate("R-FCN + SeqNMS", h.run_fixed(det, 600),
                             &seqnms_cfg));
   runs.push_back(h.evaluate("AdaScale + SeqNMS",

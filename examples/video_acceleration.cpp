@@ -18,8 +18,13 @@ int main() {
                                     h.default_regressor_config());
   const ScaleSet sreg = ScaleSet::reg_default();
 
-  DffConfig dff_cfg;
-  dff_cfg.key_interval = 10;
+  // Fixed key interval 10 as in the paper's DFF (the serving default is
+  // adaptive); plain DFF keeps the scale at 600.
+  DffServingConfig dff_ada;
+  dff_ada.policy = DffServingConfig::Keyframe::kFixedInterval;
+  dff_ada.key_interval = 10;
+  DffServingConfig dff_plain = dff_ada;
+  dff_plain.adascale = false;
   SeqNmsConfig seqnms;
 
   TextTable t({"pipeline", "mAP(%)", "ms/frame", "FPS"});
@@ -30,8 +35,8 @@ int main() {
 
   add("detector @600", h.evaluate("base", h.run_fixed(det, 600)));
   add("detector + AdaScale", h.evaluate("ada", h.run_adascale(det, reg, sreg)));
-  add("DFF (key=10)", h.evaluate("dff", h.run_dff(det, nullptr, dff_cfg, sreg)));
-  add("DFF + AdaScale", h.evaluate("dff+ada", h.run_dff(det, reg, dff_cfg, sreg)));
+  add("DFF (key=10)", h.evaluate("dff", h.run_dff(det, reg, dff_plain, sreg)));
+  add("DFF + AdaScale", h.evaluate("dff+ada", h.run_dff(det, reg, dff_ada, sreg)));
   add("Seq-NMS", h.evaluate("seq", h.run_fixed(det, 600), &seqnms));
   add("Seq-NMS + AdaScale",
       h.evaluate("seq+ada", h.run_adascale(det, reg, sreg), &seqnms));

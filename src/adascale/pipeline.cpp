@@ -1,7 +1,6 @@
 #include "adascale/pipeline.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -115,23 +114,9 @@ void AdaScalePipeline::set_dff(const DffServingConfig& cfg) {
   ctx_.reset(init_scale_);
 }
 
-void AdaScalePipeline::push_history(const DetectionOutput& out) {
-  const int window = dff_.seqnms_window;
-  if (window <= 0) return;
-  ctx_.history.push_back(out);
-  if (static_cast<int>(ctx_.history.size()) > window)
-    ctx_.history.erase(ctx_.history.begin());
-}
-
-Tensor AdaScalePipeline::flow_gray(const Scene& frame,
-                                   const Tensor* full_render) const {
-  if (dff_.flow_render_scale > 0) {
-    const Tensor tiny =
-        renderer_->render_at_scale(frame, dff_.flow_render_scale, policy_);
-    return to_grayscale(tiny);
-  }
-  assert(full_render != nullptr);
-  return to_grayscale(*full_render);
+Tensor AdaScalePipeline::flow_gray(const Scene& frame) const {
+  return to_grayscale(renderer_->render_at_scale(
+      frame, DffServingConfig::flow_render_scale, policy_));
 }
 
 void AdaScalePipeline::refresh_key(const Scene& frame, Tensor image,
@@ -139,10 +124,9 @@ void AdaScalePipeline::refresh_key(const Scene& frame, Tensor image,
                                    AdaFrameOutput* out, ModelLease* m) {
   DffStreamState& st = ctx_.dff;
   const int img_h = image.h(), img_w = image.w();
-  // The grayscale flow source is taken before the image is handed to the
-  // backend; the downsample to feature resolution waits until the feature
-  // dimensions are known.
-  Tensor gray = flow_gray(frame, &image);
+  // The downsample of the grayscale flow source to feature resolution waits
+  // until the feature dimensions are known.
+  const Tensor gray = flow_gray(frame);
 
   if (backend != nullptr) {
     // The backend may park this thread in a BatchScheduler queue waiting
@@ -184,10 +168,9 @@ void AdaScalePipeline::refresh_key(const Scene& frame, Tensor image,
   st.acc_flow_x = Tensor();
 
   // Heads + decode run on the stream's own detector in BOTH execution modes
-  // (the cached features, not the backend's decode, are the input) — the
-  // same call sequence as the offline DffPipeline, which is what makes
-  // serving output bit-identical to Harness::run_dff and batched serving
-  // bit-identical to serial regardless of batch composition.
+  // (the cached features, not the backend's decode, are the input), which
+  // is what makes batched serving bit-identical to serial regardless of
+  // batch composition.
   Timer head_timer;
   out->detections =
       m->det()->detect_from_features(st.key_features, img_h, img_w);
@@ -202,7 +185,6 @@ void AdaScalePipeline::refresh_key(const Scene& frame, Tensor image,
   out->dff_key = true;
   st.has_key = true;
   st.since_key = 0;
-  ++st.keys;
 }
 
 AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
@@ -213,8 +195,7 @@ AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
   ModelLease m(this);  // lazy: flow-only warp frames never acquire
 
   const bool fixed = dff_.policy == DffServingConfig::Keyframe::kFixedInterval;
-  const int key_interval = std::max(dff_.key_interval, 1);
-  bool key = fixed ? (st.frame_index % key_interval) == 0
+  bool key = fixed ? (st.frame_index % dff_.key_interval) == 0
                    : (!st.has_key || st.since_key >= dff_.max_interval);
 
   // Scale changes only take effect at key frames, so warped features always
@@ -224,36 +205,33 @@ AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
   out.scale_used = st.current_scale;
 
   if (!key) {
-    // Warp attempt: estimate flow from the key frame to this one.  With a
-    // tiny flow render the full working-scale render is skipped entirely —
-    // the heads only need the image dimensions, which the scale policy
-    // knows.  (A forced key below re-renders at full scale.)
-    const bool tiny = dff_.flow_render_scale > 0;
+    // Warp attempt: estimate flow from the key frame to this one.  The
+    // working-scale render is skipped entirely — the heads only need the
+    // image dimensions, which the scale policy knows.  (A forced key below
+    // renders at full scale.)
     const int img_h = policy_.render_h(st.current_scale);
     const int img_w = policy_.render_w(st.current_scale);
-    Tensor full_render;
-    if (!tiny)
-      full_render =
-          renderer_->render_at_scale(frame, st.current_scale, policy_);
 
     Timer flow_timer;
-    Tensor gray = flow_gray(frame, tiny ? nullptr : &full_render);
     Tensor cur_gray;
-    bilinear_resize(gray, st.key_features.h(), st.key_features.w(), &cur_gray);
+    bilinear_resize(flow_gray(frame), st.key_features.h(), st.key_features.w(),
+                    &cur_gray);
     Tensor flow_y, flow_x;
-    if (dff_.incremental_flow && st.acc_flow_y.size() != 0) {
+    if (st.acc_flow_y.size() != 0) {
+      // Compose this frame's step onto the accumulated key->previous flow.
       Tensor step_y, step_x;
       block_matching_flow(st.prev_gray, cur_gray, dff_.flow, &step_y, &step_x);
       compose_flow(st.acc_flow_y, st.acc_flow_x, step_y, step_x, &flow_y,
                    &flow_x);
     } else {
-      // First warp frame after a key (prev == key), or incremental off.
+      // First warp frame after a key: the previous frame is the key.
       block_matching_flow(st.key_gray, cur_gray, dff_.flow, &flow_y, &flow_x);
     }
 
     if (!fixed) {
-      // Adaptive policy: gate propagation on the warp residual
-      // (AdaptiveDffPipeline's trigger, same arithmetic).
+      // Adaptive policy: gate propagation on the mean warp residual
+      // |warped key gray - current gray| (Zhu et al. 2018's flow-quality
+      // refresh idea, an extension beyond the AdaScale paper).
       Tensor warped_gray;
       bilinear_warp(st.key_gray, flow_y, flow_x, &warped_gray);
       double residual = 0.0;
@@ -306,9 +284,7 @@ AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
         out.detect_ms = head_timer.elapsed_ms();
         ++st.since_key;
         ++st.frame_index;
-        ++st.frames;
         out.next_scale = st.pending_scale;
-        push_history(out.detections);
         return out;
       }
     }
@@ -322,9 +298,7 @@ AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
   Tensor image = renderer_->render_at_scale(frame, st.current_scale, policy_);
   refresh_key(frame, std::move(image), backend, &out, &m);
   ++st.frame_index;
-  ++st.frames;
   out.next_scale = st.pending_scale;
-  push_history(out.detections);
   return out;
 }
 

@@ -14,11 +14,13 @@
 // key frames, whose deep features are cached in the per-stream
 // StreamContext; intermediate frames estimate a cheap optical flow, warp
 // the cached features along it, and run only the detection heads.  This is
-// the paper's Fig. 7 headline combination (AdaScale + DFF) on the serving
-// path — the scale regressor runs on key frames (decoded scale takes effect
-// at the next key, so warped features always match the cached geometry) and
-// doubles as a scene-change detector on warp frames (a regressed scale jump
-// forces a key frame).
+// the repo's one DFF implementation — serving and the offline harness
+// (Harness::run_dff, the Fig. 7 benches) both drive it — and the paper's
+// Fig. 7 headline combination (AdaScale + DFF): the scale regressor runs on
+// key frames (decoded scale takes effect at the next key, so warped
+// features always match the cached geometry) and, under the adaptive
+// policy, doubles as a scene-change detector on warp frames (a regressed
+// scale jump forces a key frame).  Plain DFF is `adascale = false`.
 #pragma once
 
 #include <cstdio>
@@ -206,14 +208,10 @@ class AdaScalePipeline {
                    const DetectBackend* backend, AdaFrameOutput* out,
                    ModelLease* m);
 
-  /// Grayscale flow source for `frame`: a tiny dedicated render
-  /// (dff_.flow_render_scale > 0) or the given full-scale render (legacy;
-  /// `full_render` may be null in tiny mode).  Same convention as
-  /// DffPipeline::flow_gray — callers resize to the feature grid.
-  Tensor flow_gray(const Scene& frame, const Tensor* full_render) const;
-
-  /// Bounded per-stream detection history (seq-NMS seam).
-  void push_history(const DetectionOutput& out);
+  /// Grayscale flow source for `frame`: a dedicated render at
+  /// DffServingConfig::flow_render_scale (callers resize it to the feature
+  /// grid).
+  Tensor flow_gray(const Scene& frame) const;
 
   /// `s` clamped under the overload scale cap (identity when uncapped).
   int capped(int s) const;

@@ -261,19 +261,20 @@ std::vector<SnippetRun> Harness::run_adascale_same_frame(Detector* det,
       });
 }
 
-std::vector<SnippetRun> Harness::run_dff(Detector* det,
-                                         ScaleRegressor* reg_or_null,
-                                         const DffConfig& dff_cfg,
+std::vector<SnippetRun> Harness::run_dff(Detector* det, ScaleRegressor* reg,
+                                         const DffServingConfig& cfg,
                                          const ScaleSet& sreg) {
-  DffPipeline pipeline(det, reg_or_null, &renderer_, dataset_.scale_policy(),
-                       dff_cfg, sreg, /*init_scale=*/600);
+  AdaScalePipeline pipeline(det, reg, &renderer_, dataset_.scale_policy(),
+                            sreg, /*init_scale=*/600);
+  pipeline.set_dff(cfg);
   return run_generic(
       [&] { pipeline.reset(); },
       [&](const Scene& scene, SnippetRun* run) {
-        DffFrameOutput out = pipeline.process(scene);
+        const AdaFrameOutput out = pipeline.process(scene);
         run->frame_dets.push_back(to_reference(out.detections));
         run->frame_ms.push_back(out.total_ms());
         run->frame_scales.push_back(out.scale_used);
+        run->frame_keys.push_back(out.dff_key);
       });
 }
 

@@ -26,7 +26,6 @@
 #include "data/dataset.h"
 #include "detection/trainer.h"
 #include "eval/map_evaluator.h"
-#include "video/dff.h"
 #include "video/seq_nms.h"
 
 namespace ada {
@@ -36,6 +35,9 @@ struct SnippetRun {
   std::vector<std::vector<EvalDetection>> frame_dets;
   std::vector<double> frame_ms;
   std::vector<int> frame_scales;
+  /// DFF runs only (empty otherwise): whether each frame ran the backbone
+  /// and refreshed the key-feature cache.
+  std::vector<bool> frame_keys;
 };
 
 /// Evaluated summary of one method.
@@ -84,8 +86,12 @@ class Harness {
   std::vector<SnippetRun> run_adascale_same_frame(Detector* det,
                                                   ScaleRegressor* reg,
                                                   const ScaleSet& sreg);
-  std::vector<SnippetRun> run_dff(Detector* det, ScaleRegressor* reg_or_null,
-                                  const DffConfig& dff_cfg,
+  /// Deep Feature Flow through AdaScalePipeline::set_dff — the serving
+  /// keyframe/warp branch.  Plain DFF is `cfg.adascale = false` (the
+  /// regressor is then never run); the Fig. 7 rows set
+  /// `policy = kFixedInterval` explicitly, since the default is adaptive.
+  std::vector<SnippetRun> run_dff(Detector* det, ScaleRegressor* reg,
+                                  const DffServingConfig& cfg,
                                   const ScaleSet& sreg);
 
   /// Optionally applies Seq-NMS (adding its wall time to each snippet's

@@ -11,9 +11,8 @@
 //
 //   * per-stream, tiny, mutable: everything a stream's past frames imprint
 //     on its future ones.  That is this struct — the Algorithm-1 target
-//     scale, the DFF temporal-reuse cache (key-frame deep features + the
-//     grayscale key at feature resolution), and the rolling detection
-//     history reserved for online seq-NMS.
+//     scale and the DFF temporal-reuse cache (key-frame deep features + the
+//     grayscale key at feature resolution).
 //
 // AdaScalePipeline owns exactly one StreamContext; MultiStreamRunner holds
 // one pipeline (hence one context) per stream; BatchScheduler contexts hold
@@ -24,24 +23,22 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
-#include "detection/detector.h"
 #include "tensor/tensor.h"
 #include "video/optical_flow.h"
 
 namespace ada {
 
-/// Keyframe/warp serving configuration (Deep Feature Flow on the serving
-/// path).  Defaults give the paper's AdaScale+DFF combination: adaptive
+/// Keyframe/warp configuration: the one Deep Feature Flow implementation
+/// (AdaScalePipeline::set_dff), used by serving and the offline harness
+/// alike.  Defaults give the paper's AdaScale+DFF combination: adaptive
 /// keyframing from the flow residual, with AdaScale's own scale signal
 /// doubling as a scene-change detector.
 struct DffServingConfig {
   /// How key frames are chosen.
   enum class Keyframe {
     /// Every `key_interval`-th frame is a key (Zhu et al. CVPR'17 schedule;
-    /// exactly DffPipeline's behavior — the serving/harness equivalence
-    /// tests rely on this mode being bit-identical to Harness::run_dff).
+    /// the Fig. 7 DFF rows).
     kFixedInterval,
     /// Refresh when flow propagation degrades (warp residual >
     /// `residual_threshold`), when the regressed scale jumps
@@ -51,7 +48,7 @@ struct DffServingConfig {
   };
   Keyframe policy = Keyframe::kAdaptive;
 
-  /// kFixedInterval: the key period (clamped to >= 1).
+  /// kFixedInterval: the key period.
   int key_interval = 10;
 
   /// kAdaptive: refresh when the mean |warped key gray - current gray|
@@ -85,19 +82,16 @@ struct DffServingConfig {
 
   FlowConfig flow;
 
-  /// Tiny dedicated render scale for the grayscale flow source; <= 0 uses
-  /// the full working-scale render (see DffConfig::flow_render_scale —
-  /// cheaper AND less aliased than downsampling a full-resolution render).
-  int flow_render_scale = 96;
-
-  /// Compose per-frame flow steps into the key->current field instead of
-  /// matching key->current directly (see DffConfig::incremental_flow).
-  bool incremental_flow = true;
-
-  /// Frames of per-stream detection history retained in
-  /// StreamContext::history (0 = keep none).  Reserved seam for online
-  /// seq-NMS; nothing consumes the history yet.
-  int seqnms_window = 0;
+  /// Fixed design, not knobs; constants so servebench's replay, which
+  /// reads both names, compiles unchanged.  Flow runs on grayscale from a
+  /// dedicated render at this tiny scale, resized to the feature grid:
+  /// warp frames never render at the working scale, and the tiny render is
+  /// less aliased than point-sampling a full render ~16x down.
+  static constexpr int flow_render_scale = 96;
+  /// Per-frame flow steps are composed into the key->current field
+  /// (compose_flow) rather than matched key->current directly, which
+  /// degrades once cumulative motion leaves the search radius.
+  static constexpr bool incremental_flow = true;
 
   /// Aborts loudly on nonsensical values instead of silently clamping or
   /// misbehaving (called by AdaScalePipeline::set_dff).
@@ -112,8 +106,10 @@ struct DffServingConfig {
       fail("residual_threshold must be finite and >= 0");
     if (!(scale_jump_frac >= 0.0f) || !std::isfinite(scale_jump_frac))
       fail("scale_jump_frac must be finite and >= 0 (0 disables)");
-    if (seqnms_window < 0) fail("seqnms_window must be >= 0");
-    // flow_render_scale <= 0 is meaningful (legacy full-res flow source).
+    // A negative radius makes block matching return an all-zero field, so
+    // every warp frame would silently reuse unshifted key features.
+    if (flow.search_radius < 0) fail("flow.search_radius must be >= 0");
+    if (flow.patch_radius < 0) fail("flow.patch_radius must be >= 0");
   }
 };
 
@@ -124,12 +120,10 @@ struct DffStreamState {
   int since_key = 0;       ///< consecutive warp frames since the current key
   int current_scale = 0;   ///< scale of the cached key (and all its warps)
   int pending_scale = 0;   ///< regressed scale waiting for the next key
-  long frames = 0;         ///< total frames since reset
-  long keys = 0;           ///< key frames since reset
   Tensor key_features;     ///< cached deep features of the key frame
   Tensor key_gray;         ///< key frame grayscale at feature resolution
   Tensor prev_gray;        ///< previous frame grayscale at feature resolution
-  Tensor acc_flow_y;       ///< composed key->previous flow (incremental mode)
+  Tensor acc_flow_y;       ///< composed key->previous flow
   Tensor acc_flow_x;
 };
 
@@ -137,18 +131,14 @@ struct DffStreamState {
 struct StreamContext {
   int target_scale = 600;  ///< Algorithm-1 scale state (non-DFF mode)
   DffStreamState dff;
-  /// Rolling window of recent frame detections (seq-NMS seam; bounded by
-  /// DffServingConfig::seqnms_window).
-  std::vector<DetectionOutput> history;
 
-  /// Snippet-boundary reset: Algorithm 1 restarts at `init_scale`, the DFF
-  /// cache drops (next frame is a key frame), history clears.
+  /// Snippet-boundary reset: Algorithm 1 restarts at `init_scale` and the
+  /// DFF cache drops (next frame is a key frame).
   void reset(int init_scale) {
     target_scale = init_scale;
     dff = DffStreamState{};
     dff.current_scale = init_scale;
     dff.pending_scale = init_scale;
-    history.clear();
   }
 };
 

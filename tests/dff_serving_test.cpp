@@ -1,23 +1,25 @@
 // DFF on the serving path: the keyframe/warp branch of AdaScalePipeline /
-// MultiStreamRunner must be a pure wiring change — bit-identical to the
-// already-trusted offline video pipelines (DffPipeline, AdaptiveDffPipeline,
-// Harness::run_dff) on the same input, and bit-identical between serial,
-// concurrent, and batched execution no matter how key frames coalesce.
-// Serving is stateful for the first time here, so the suite also proves the
-// per-stream context carries no state across streams.
+// MultiStreamRunner is the repo's one Deep Feature Flow implementation.
+// Golden bytes pin its output per keyframe configuration; a behaviour table
+// checks the keyframe contract (schedule, key-only scale changes, warp
+// cost); and the suite proves batched, concurrent and serial execution
+// bit-identical no matter how key frames coalesce.  Serving is stateful, so
+// it also proves the per-stream context carries no state across streams.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "adascale/pipeline.h"
 #include "adascale/scale_target.h"
 #include "data/dataset.h"
-#include "detection/box.h"
-#include "experiments/harness.h"
 #include "runtime/multi_stream.h"
-#include "video/adaptive_dff.h"
-#include "video/dff.h"
+#include "util/file_io.h"
 
 namespace ada {
 namespace {
@@ -91,225 +93,205 @@ class DffServingTest : public ::testing::Test {
   std::unique_ptr<ScaleRegressor> regressor_;
 };
 
-TEST_F(DffServingTest, FixedIntervalAdaScaleMatchesDffPipeline) {
-  // AdaScale-driven keyframing: the serving branch must retrace
-  // DffPipeline's exact state machine — same keys, same per-key scale
-  // switches, same detections, bit for bit.
-  DffConfig dcfg;
-  dcfg.key_interval = 4;
-  DffPipeline reference(detector_.get(), regressor_.get(), &renderer_,
-                        dataset_.scale_policy(), dcfg,
-                        ScaleSet::reg_default());
-  AdaScalePipeline serving = make_serving();
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 4;
-  scfg.adascale = true;
-  serving.set_dff(scfg);
-
-  for (const Snippet& snip : dataset_.val_snippets()) {
-    reference.reset();
-    serving.reset();
-    for (const Scene& frame : snip.frames) {
-      const DffFrameOutput a = reference.process(frame);
-      const AdaFrameOutput b = serving.process(frame);
-      EXPECT_TRUE(b.dff);
-      EXPECT_EQ(a.is_key, b.dff_key);
-      EXPECT_EQ(a.scale_used, b.scale_used);
-      expect_equal_detections(a.detections, b.detections);
-    }
-  }
+/// Appends the raw bytes of a trivially copyable value.
+template <typename T>
+void put(std::string* bytes, const T& v) {
+  bytes->append(reinterpret_cast<const char*>(&v), sizeof v);
 }
 
-TEST_F(DffServingTest, FixedScaleMatchesDffPipelineWithoutRegressor) {
-  // adascale=false is plain DFF: the regressor never runs, the scale stays
-  // pinned at init.  Must match DffPipeline built with a null regressor.
-  DffConfig dcfg;
-  dcfg.key_interval = 3;
-  DffPipeline reference(detector_.get(), nullptr, &renderer_,
-                        dataset_.scale_policy(), dcfg, ScaleSet::reg_default(),
-                        /*init_scale=*/480);
-  AdaScalePipeline serving = make_serving(/*init_scale=*/480);
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 3;
-  scfg.adascale = false;
-  serving.set_dff(scfg);
-
-  for (const Snippet& snip : dataset_.val_snippets()) {
-    reference.reset();
-    serving.reset();
-    for (const Scene& frame : snip.frames) {
-      const DffFrameOutput a = reference.process(frame);
-      const AdaFrameOutput b = serving.process(frame);
-      EXPECT_EQ(a.is_key, b.dff_key);
-      EXPECT_EQ(b.scale_used, 480);
-      EXPECT_EQ(b.regressed_t, 0.0f);
-      expect_equal_detections(a.detections, b.detections);
-    }
+/// Everything a consumer of one DFF frame observes: the keyframe and scale
+/// bookkeeping plus every detection field servebench's replay compares.
+std::string frame_bytes(const AdaFrameOutput& out) {
+  std::string b;
+  put(&b, out.dff_key);
+  put(&b, out.scale_used);
+  put(&b, out.next_scale);
+  put(&b, out.regressed_t);
+  put(&b, out.warp_residual);
+  const DetectionOutput& d = out.detections;
+  put(&b, d.image_h);
+  put(&b, d.image_w);
+  put(&b, d.detections.size());
+  for (const Detection& x : d.detections) {
+    put(&b, x.class_id);
+    put(&b, x.box);
+    put(&b, x.score);
+    put(&b, x.probs.size());
+    b.append(reinterpret_cast<const char*>(x.probs.data()),
+             x.probs.size() * sizeof(float));
+    put(&b, x.delta);
+    put(&b, x.anchor);
   }
+  return b;
 }
 
-TEST_F(DffServingTest, LegacyFlowSourceStillMatchesDffPipeline) {
-  // The pre-tiny-render flow configuration (grayscale from the full
-  // working-scale render, direct key->current matching) remains a supported
-  // mode and must stay bit-identical between serving and DffPipeline.
-  DffConfig dcfg;
-  dcfg.key_interval = 4;
-  dcfg.flow_render_scale = 0;
-  dcfg.incremental_flow = false;
-  DffPipeline reference(detector_.get(), regressor_.get(), &renderer_,
-                        dataset_.scale_policy(), dcfg,
-                        ScaleSet::reg_default());
-  AdaScalePipeline serving = make_serving();
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 4;
-  scfg.adascale = true;
-  scfg.flow_render_scale = 0;
-  scfg.incremental_flow = false;
-  serving.set_dff(scfg);
-
-  for (const Snippet& snip : dataset_.val_snippets()) {
-    reference.reset();
-    serving.reset();
-    for (const Scene& frame : snip.frames) {
-      const DffFrameOutput a = reference.process(frame);
-      const AdaFrameOutput b = serving.process(frame);
-      EXPECT_EQ(a.is_key, b.dff_key);
-      EXPECT_EQ(a.scale_used, b.scale_used);
-      expect_equal_detections(a.detections, b.detections);
-    }
-  }
+std::string hex_list(const std::vector<std::uint64_t>& hashes) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < hashes.size(); ++i)
+    os << "\n  frame " << i << ": 0x" << std::hex << hashes[i] << std::dec;
+  return os.str();
 }
 
-TEST_F(DffServingTest, AdaptiveMatchesAdaptiveDffPipeline) {
-  // With the scale-jump trigger off, the adaptive serving branch is exactly
-  // AdaptiveDffPipeline: same residual arithmetic, same forced keys, same
-  // max_interval refreshes.
-  AdaptiveDffConfig acfg;
-  acfg.residual_threshold = 0.02f;  // low enough to exercise forced keys
-  acfg.max_interval = 6;
-  AdaptiveDffPipeline reference(detector_.get(), regressor_.get(), &renderer_,
-                                dataset_.scale_policy(), acfg,
-                                ScaleSet::reg_default());
-  AdaScalePipeline serving = make_serving();
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kAdaptive;
-  scfg.residual_threshold = 0.02f;
-  scfg.max_interval = 6;
-  scfg.scale_jump_frac = 0.0f;
-  scfg.adascale = true;
-  serving.set_dff(scfg);
-
-  long keys = 0, forced = 0;
-  for (const Snippet& snip : dataset_.val_snippets()) {
-    reference.reset();
-    serving.reset();
-    for (const Scene& frame : snip.frames) {
-      const AdaptiveDffFrameOutput a = reference.process(frame);
-      const AdaFrameOutput b = serving.process(frame);
-      EXPECT_EQ(a.is_key, b.dff_key);
-      EXPECT_EQ(a.scale_used, b.scale_used);
-      EXPECT_EQ(a.warp_residual, b.warp_residual);
-      expect_equal_detections(a.detections, b.detections);
-      if (b.dff_key) ++keys;
-      if (b.dff_key && b.warp_residual > 0.0f) ++forced;
-    }
-  }
-  EXPECT_GT(keys, 0);
+DffServingConfig fixed_dff(int key_interval, bool adascale) {
+  DffServingConfig c;
+  c.policy = DffServingConfig::Keyframe::kFixedInterval;
+  c.key_interval = key_interval;
+  c.adascale = adascale;
+  return c;
 }
 
-TEST_F(DffServingTest, ServingMatchesHarnessRunDff) {
-  // End-to-end: a 1-stream MultiStreamRunner in DFF mode must reproduce
-  // Harness::run_dff bit for bit — same snippets, same renderer, detections
-  // equal after the same reference-frame rescale the harness applies.
-  Harness h(Dataset::synth_vid(1, 4, 77), /*cache_dir=*/"");
-  DffConfig dcfg;
-  dcfg.key_interval = 5;
-  const std::vector<SnippetRun> runs =
-      h.run_dff(detector_.get(), regressor_.get(), dcfg,
-                ScaleSet::reg_default());
+DffServingConfig adaptive_dff(float threshold, int max_interval,
+                              bool adascale) {
+  DffServingConfig c;
+  c.policy = DffServingConfig::Keyframe::kAdaptive;
+  c.residual_threshold = threshold;
+  c.max_interval = max_interval;
+  c.scale_jump_frac = 0.0f;
+  c.adascale = adascale;
+  return c;
+}
 
-  MultiStreamRunner runner(detector_.get(), regressor_.get(), &h.renderer(),
-                           h.dataset().scale_policy(), ScaleSet::reg_default(),
-                           /*num_streams=*/1);
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 5;
-  scfg.adascale = true;
-  runner.set_dff(scfg);
-  std::vector<const Snippet*> jobs;
-  for (const Snippet& s : h.dataset().val_snippets()) jobs.push_back(&s);
-  const MultiStreamResult res = runner.run_serial(jobs);
-
-  ASSERT_EQ(runs.size(), jobs.size());
-  std::size_t fi = 0;
-  for (std::size_t s = 0; s < runs.size(); ++s) {
-    ASSERT_EQ(runs[s].frame_dets.size(), jobs[s]->frames.size());
-    for (std::size_t f = 0; f < runs[s].frame_dets.size(); ++f, ++fi) {
-      ASSERT_LT(fi, res.streams[0].frames.size());
-      const AdaFrameOutput& out = res.streams[0].frames[fi];
-      EXPECT_EQ(out.scale_used, runs[s].frame_scales[f]);
-      const auto& ref = runs[s].frame_dets[f];
-      const auto& dets = out.detections.detections;
-      ASSERT_EQ(dets.size(), ref.size());
-      for (std::size_t d = 0; d < dets.size(); ++d) {
-        const Box rb =
-            rescale_box(dets[d].box, out.detections.image_h,
-                        out.detections.image_w, h.reference_h(),
-                        h.reference_w());
-        EXPECT_EQ(dets[d].class_id, ref[d].class_id);
-        EXPECT_EQ(dets[d].score, ref[d].score);
-        EXPECT_EQ(rb.x1, ref[d].box.x1);
-        EXPECT_EQ(rb.y1, ref[d].box.y1);
-        EXPECT_EQ(rb.x2, ref[d].box.x2);
-        EXPECT_EQ(rb.y2, ref[d].box.y2);
+TEST_F(DffServingTest, GoldenBytes) {
+  // The keyframe/warp branch pinned byte for byte.  The models run pinned
+  // fp32 so every ADASCALE_GEMM default reads the same bytes.  Init 240
+  // rows visit several scales (at 600 the seeded regressor never moves);
+  // the 0.02 threshold forces residual keys; the default config at 240
+  // fires the scale-jump trigger.
+  detector_->set_execution_policy(ExecutionPolicy::fp32());
+  regressor_->set_execution_policy(ExecutionPolicy::fp32());
+  struct Row {
+    const char* name;
+    DffServingConfig cfg;
+    int init_scale;
+    std::uint64_t hash;
+    int keys;
+    std::size_t distinct_scales;
+  };
+  const Row rows[] = {
+      {"fixed k=4, AdaScale, init 240", fixed_dff(4, true), 240,
+       0xaf5c331096e66855ULL, 12, 6},
+      {"fixed k=3, plain, init 480", fixed_dff(3, false), 480,
+       0x3732979105ea81b4ULL, 16, 1},
+      {"adaptive 0.02/6, AdaScale, init 240", adaptive_dff(0.02f, 6, true),
+       240, 0xc6e012c51f8c21f7ULL, 12, 6},
+      {"adaptive 0.02/20, plain, init 600", adaptive_dff(0.02f, 20, false),
+       600, 0x0150c1315a57cdecULL, 9, 1},
+      {"default config, init 240", DffServingConfig{}, 240,
+       0x8f50bccbec2893e8ULL, 28, 5},
+  };
+  for (const Row& row : rows) {
+    AdaScalePipeline serving = make_serving(row.init_scale);
+    serving.set_dff(row.cfg);
+    std::string all;
+    std::vector<std::uint64_t> per_frame;
+    int keys = 0;
+    std::set<int> scales;
+    for (const Snippet& snip : dataset_.val_snippets()) {
+      serving.reset();
+      for (const Scene& frame : snip.frames) {
+        const AdaFrameOutput out = serving.process(frame);
+        const std::string b = frame_bytes(out);
+        per_frame.push_back(fnv1a(b));
+        all += b;
+        keys += out.dff_key ? 1 : 0;
+        scales.insert(out.scale_used);
       }
     }
+    EXPECT_EQ(fnv1a(all), row.hash)
+        << row.name << "; per-frame hashes:" << hex_list(per_frame);
+    EXPECT_EQ(keys, row.keys) << row.name;
+    EXPECT_EQ(scales.size(), row.distinct_scales) << row.name;
   }
-  EXPECT_EQ(fi, res.streams[0].frames.size());
 }
 
-TEST_F(DffServingTest, FixedScaleServingMatchesHarnessRunDff) {
-  // Plain-DFF flavor of the same end-to-end equivalence (run_dff with a
-  // null regressor vs serving with adascale=false).
-  Harness h(Dataset::synth_vid(1, 4, 77), /*cache_dir=*/"");
-  DffConfig dcfg;
-  dcfg.key_interval = 4;
-  const std::vector<SnippetRun> runs =
-      h.run_dff(detector_.get(), nullptr, dcfg, ScaleSet::reg_default());
-
-  MultiStreamRunner runner(detector_.get(), regressor_.get(), &h.renderer(),
-                           h.dataset().scale_policy(), ScaleSet::reg_default(),
-                           /*num_streams=*/1);
-  DffServingConfig scfg;
-  scfg.policy = DffServingConfig::Keyframe::kFixedInterval;
-  scfg.key_interval = 4;
-  scfg.adascale = false;
-  runner.set_dff(scfg);
-  std::vector<const Snippet*> jobs;
-  for (const Snippet& s : h.dataset().val_snippets()) jobs.push_back(&s);
-  const MultiStreamResult res = runner.run_serial(jobs);
-
-  std::size_t fi = 0;
-  for (std::size_t s = 0; s < runs.size(); ++s) {
-    for (std::size_t f = 0; f < runs[s].frame_dets.size(); ++f, ++fi) {
-      const AdaFrameOutput& out = res.streams[0].frames[fi];
-      EXPECT_EQ(out.scale_used, runs[s].frame_scales[f]);
-      const auto& ref = runs[s].frame_dets[f];
-      const auto& dets = out.detections.detections;
-      ASSERT_EQ(dets.size(), ref.size());
-      for (std::size_t d = 0; d < dets.size(); ++d) {
-        const Box rb =
-            rescale_box(dets[d].box, out.detections.image_h,
-                        out.detections.image_w, h.reference_h(),
-                        h.reference_w());
-        EXPECT_EQ(dets[d].score, ref[d].score);
-        EXPECT_EQ(rb.x1, ref[d].box.x1);
-        EXPECT_EQ(rb.y2, ref[d].box.y2);
+TEST_F(DffServingTest, KeyframeBehaviours) {
+  // The keyframe contract, one row per configuration.  `scheduled` is the
+  // key placement the policy fixes ahead of time: every k-th frame, or the
+  // first frame and every max_interval-th warp under the adaptive policy.
+  // No row arms the scale-jump trigger, so any other key is
+  // residual-forced.
+  constexpr float kNeverRefresh = 1e9f;
+  struct Row {
+    const char* name;
+    DffServingConfig cfg;
+    int init_scale;
+    bool static_scene;  ///< every frame repeats its snippet's first frame
+  };
+  const Row rows[] = {
+      {"fixed k=4, AdaScale, init 240", fixed_dff(4, true), 240, false},
+      {"fixed k=3, plain, init 480", fixed_dff(3, false), 480, false},
+      {"adaptive 0.02/6, AdaScale, init 240", adaptive_dff(0.02f, 6, true),
+       240, false},
+      {"adaptive never-refresh/4, plain, init 600",
+       adaptive_dff(kNeverRefresh, 4, false), 600, false},
+      {"fixed k=2, plain, static scene", fixed_dff(2, false), 600, true},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const DffServingConfig& cfg = row.cfg;
+    const bool fixed = cfg.policy == DffServingConfig::Keyframe::kFixedInterval;
+    AdaScalePipeline serving = make_serving(row.init_scale);
+    serving.set_dff(cfg);
+    int frames = 0, keys = 0;
+    double key_ms = 0.0, warp_ms = 0.0;
+    std::set<int> scales;
+    for (const Snippet& snip : dataset_.val_snippets()) {
+      serving.reset();
+      int since_key = 0, prev_scale = 0;
+      DetectionOutput key_dets;
+      for (std::size_t f = 0; f < snip.frames.size(); ++f) {
+        const Scene& frame = snip.frames[row.static_scene ? 0 : f];
+        const AdaFrameOutput out = serving.process(frame);
+        const bool scheduled =
+            fixed ? f % static_cast<std::size_t>(cfg.key_interval) == 0
+                  : (f == 0 || since_key >= cfg.max_interval);
+        if (fixed) {
+          EXPECT_EQ(out.dff_key, scheduled) << "frame " << f;
+        }
+        if (scheduled) {
+          EXPECT_TRUE(out.dff_key) << "frame " << f;
+          EXPECT_EQ(out.warp_residual, 0.0f) << "frame " << f;
+          EXPECT_EQ(out.flow_ms, 0.0) << "frame " << f;
+        } else if (out.dff_key) {
+          EXPECT_GT(out.flow_ms, 0.0) << "frame " << f;
+          EXPECT_GT(out.warp_residual, cfg.residual_threshold)
+              << "frame " << f;
+        } else {
+          EXPECT_GT(out.flow_ms, 0.0) << "frame " << f;
+          EXPECT_EQ(out.scale_used, prev_scale)
+              << "scale changed on warp frame " << f;
+        }
+        if (!cfg.adascale) {
+          EXPECT_EQ(out.scale_used, row.init_scale) << "frame " << f;
+          EXPECT_EQ(out.regressed_t, 0.0f) << "frame " << f;
+        }
+        if (out.dff_key) {
+          key_dets = out.detections;
+        } else if (row.static_scene) {
+          // Zero flow: the warped features are the key's own.
+          const auto& a = key_dets.detections;
+          const auto& b = out.detections.detections;
+          EXPECT_EQ(a.size(), b.size()) << "frame " << f;
+          for (std::size_t d = 0; d < std::min(a.size(), b.size()); ++d)
+            EXPECT_NEAR(a[d].score, b[d].score, 0.05f) << "frame " << f;
+        }
+        since_key = out.dff_key ? 0 : since_key + 1;
+        prev_scale = out.scale_used;
+        scales.insert(out.scale_used);
+        ++frames;
+        keys += out.dff_key ? 1 : 0;
+        (out.dff_key ? key_ms : warp_ms) += out.total_ms();
       }
     }
+    if (cfg.adascale) {
+      EXPECT_GT(scales.size(), 1u) << "no scale switch seen";
+    }
+    if (!fixed && cfg.residual_threshold >= kNeverRefresh) {
+      EXPECT_LE(keys, frames / cfg.max_interval + 1);
+    }
+    ASSERT_GT(keys, 0);
+    ASSERT_LT(keys, frames);
+    EXPECT_LT(warp_ms / (frames - keys), key_ms / keys);
   }
 }
 
@@ -459,22 +441,6 @@ TEST_F(DffServingTest, ScaleJumpTriggerForcesKeyframes) {
   const long keys_tight = count_keys(1e-4f);
   const long keys_off = count_keys(0.0f);
   EXPECT_GE(keys_tight, keys_off);
-}
-
-TEST_F(DffServingTest, SeqNmsHistoryStaysBounded) {
-  AdaScalePipeline serving = make_serving();
-  DffServingConfig scfg;
-  scfg.seqnms_window = 3;
-  serving.set_dff(scfg);
-  const auto& frames = dataset_.val_snippets()[0].frames;
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    serving.process(frames[f]);
-    EXPECT_LE(serving.context().history.size(), 3u);
-    EXPECT_EQ(serving.context().history.size(),
-              std::min<std::size_t>(f + 1, 3u));
-  }
-  serving.reset();
-  EXPECT_TRUE(serving.context().history.empty());
 }
 
 TEST_F(DffServingTest, ResetDropsKeyCacheAndRestartsAtInitScale) {

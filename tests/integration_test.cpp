@@ -103,9 +103,13 @@ TEST_F(IntegrationFixture, MultiScaleSlowestRandomBetween) {
 TEST_F(IntegrationFixture, DffFasterThanFullPerFrame) {
   Harness* h = harness();
   Detector* det = h->detector(ScaleSet::train_default());
-  DffConfig cfg;
+  ScaleRegressor* reg = h->regressor(ScaleSet::train_default(),
+                                     h->default_regressor_config());
+  DffServingConfig cfg;
+  cfg.policy = DffServingConfig::Keyframe::kFixedInterval;
   cfg.key_interval = 5;
-  MethodRun dff = h->evaluate("DFF", h->run_dff(det, nullptr, cfg,
+  cfg.adascale = false;
+  MethodRun dff = h->evaluate("DFF", h->run_dff(det, reg, cfg,
                                                 ScaleSet::reg_default()));
   MethodRun full = h->evaluate("full", h->run_fixed(det, 600));
   EXPECT_LT(dff.mean_ms, full.mean_ms);

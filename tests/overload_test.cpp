@@ -83,6 +83,14 @@ TEST(ConfigValidationDeathTest, DffServingRejectsNonsense) {
   DffServingConfig neg_residual;
   neg_residual.residual_threshold = -0.1f;
   EXPECT_DEATH(neg_residual.validate(), "residual_threshold");
+  // A negative radius would make every flow field zero, silently warping
+  // unshifted key features.
+  DffServingConfig neg_search;
+  neg_search.flow.search_radius = -1;
+  EXPECT_DEATH(neg_search.validate(), "search_radius");
+  DffServingConfig neg_patch;
+  neg_patch.flow.patch_radius = -1;
+  EXPECT_DEATH(neg_patch.validate(), "patch_radius");
 }
 
 // ---------------------------------------------------------------------------
