@@ -6,9 +6,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 
+#include "runtime/thread_pool.h"
 #include "util/timer.h"
 
 namespace ada {
@@ -182,6 +185,30 @@ MultiStreamResult MultiStreamRunner::run_table(
   for (std::size_t s = 0; s < n; ++s)
     if (!queues[s].empty()) ready.push_back(static_cast<int>(s));
 
+  // Busy workers that alone outnumber the kernel pool's threads already
+  // cover every core the pool is sized for; fanning a frame's kernels out
+  // as well would only oversubscribe those cores, so the frame runs inline
+  // on its worker.  A stream is served by one worker at a time, so at most
+  // min(workers, streams still holding frames) workers are busy.  Counted
+  // from the queue lengths, that exceeds the pool's threads for a stream's
+  // i-th frame exactly when i is below the (threads + 1)-th longest queue.
+  // Deeper frames are an uneven drain's tail: they fan out again onto the
+  // cores the finished streams freed.  Bytes do not move: parallel_for
+  // chunks write disjoint ranges either way.
+  const std::size_t pool_threads =
+      static_cast<std::size_t>(global_pool()->num_threads());
+  std::size_t inline_depth = 0;
+  if (static_cast<std::size_t>(workers) > pool_threads && n > pool_threads) {
+    std::vector<std::size_t> lengths;
+    lengths.reserve(n);
+    for (const StreamSchedule& sch : schedules) lengths.push_back(sch.size());
+    const auto kth =
+        lengths.begin() + static_cast<std::ptrdiff_t>(pool_threads);
+    std::nth_element(lengths.begin(), kth, lengths.end(),
+                     std::greater<std::size_t>());
+    inline_depth = *kth;
+  }
+
   auto worker_main = [&]() {
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
@@ -201,9 +228,12 @@ MultiStreamResult MultiStreamRunner::run_table(
       lk.unlock();
       const AdmittedFrame f = q.pop();
       if (f.snippet_start) stream.pipeline->reset();
+      std::optional<InlineKernelScope> own_core;
+      if (out.frames.size() < inline_depth) own_core.emplace();
       Timer frame_timer;
       AdaFrameOutput frame_out = stream.pipeline->process(*f.scene);
       out.busy_ms += frame_timer.elapsed_ms();
+      own_core.reset();
       out.frames.push_back(std::move(frame_out));
       lk.lock();
       --remaining;

@@ -210,7 +210,14 @@ class MultiStreamRunner {
   /// worker at a time, so Algorithm 1's within-stream ordering — and
   /// therefore bit-identical per-stream output regardless of worker count
   /// or interleaving — holds by construction.  Pipelines reset() at each
-  /// snippet boundary (Algorithm 1 restarts per video).
+  /// snippet boundary (Algorithm 1 restarts per video).  While the workers
+  /// that can be busy (min(workers, streams still holding frames))
+  /// outnumber the kernel pool's threads, each worker runs its frame's
+  /// kernels inline on its own thread (InlineKernelScope).  That is decided
+  /// per frame from the queue lengths at the start: a stream's i-th frame
+  /// runs inline when workers and the streams with more than i frames both
+  /// outnumber the pool's threads.  Other frames, such as an uneven drain's
+  /// tail, fan out to the shared pool.  Either way the bytes are the same.
   MultiStreamResult run_table(const std::vector<const Snippet*>& jobs,
                               const StreamTableConfig& cfg = {});
 

@@ -42,7 +42,10 @@ namespace ada {
 struct StreamTableConfig {
   /// Worker threads draining the table.  0 = auto:
   /// min(num_streams, max(1, hardware_concurrency)).  1 reproduces serial
-  /// execution exactly (and is what run_serial uses).
+  /// execution exactly (and is what run_serial uses).  While more workers
+  /// than the kernel pool has threads can be busy (at most one per stream
+  /// still holding frames), each worker runs its frame's kernels inline
+  /// instead of fanning them out to the pool.
   int workers = 0;
 
   /// Aborts loudly on nonsensical values (negative workers).

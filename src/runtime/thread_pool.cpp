@@ -2,18 +2,29 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 
 namespace ada {
 
 namespace {
 
-// Set while a thread is executing a parallel_for chunk; nested parallel
-// regions run inline to avoid self-deadlock and unbounded task recursion.
+// Set while a thread is executing a parallel_for chunk or holds an
+// InlineKernelScope; nested parallel regions run inline to avoid
+// self-deadlock and unbounded task recursion.
 thread_local bool t_in_parallel_region = false;
 
 }  // namespace
+
+InlineKernelScope::InlineKernelScope() : saved_(t_in_parallel_region) {
+  t_in_parallel_region = true;
+}
+
+InlineKernelScope::~InlineKernelScope() { t_in_parallel_region = saved_; }
 
 ThreadPool::ThreadPool(int num_threads) {
   num_threads = std::max(num_threads, 0);
@@ -83,7 +94,7 @@ void ThreadPool::parallel_for(
   state->fn = &fn;
 
   auto run_chunks = [](const std::shared_ptr<State>& s) {
-    t_in_parallel_region = true;
+    const InlineKernelScope in_region;
     for (;;) {
       const std::int64_t chunk = s->next.fetch_add(1);
       if (chunk >= s->num_chunks) break;
@@ -95,7 +106,6 @@ void ThreadPool::parallel_for(
         s->cv.notify_all();
       }
     }
-    t_in_parallel_region = false;
   };
 
   // One helper per worker is enough: each helper loops until the range is
@@ -103,6 +113,8 @@ void ThreadPool::parallel_for(
   // chunks left is still safe after the caller returns.
   const int helpers = static_cast<int>(
       std::min<std::int64_t>(num_threads(), state->num_chunks - 1));
+  helpers_submitted_.fetch_add(static_cast<std::uint64_t>(helpers),
+                               std::memory_order_relaxed);
   for (int i = 0; i < helpers; ++i)
     submit([state, run_chunks] { run_chunks(state); });
 
@@ -117,16 +129,33 @@ void ThreadPool::parallel_for(
 
 ThreadPool* global_pool() {
   static ThreadPool* pool = [] {
-    int n = static_cast<int>(std::thread::hardware_concurrency());
-    if (const char* env = std::getenv("ADASCALE_THREADS"); env != nullptr) {
-      const int v = std::atoi(env);
-      if (v >= 1) n = v;
-    }
+    const int n = parse_thread_count(
+        std::getenv("ADASCALE_THREADS"),
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency())));
     // n workers serve n-way parallel_for calls: the caller participates, so
     // n-1 helpers saturate n cores; more would only add contention.
     return new ThreadPool(std::max(n - 1, 0));
   }();
   return pool;
+}
+
+int parse_thread_count(const char* env, int fallback) {
+  if (env == nullptr) return fallback;
+  // Digits only: strtol alone would skip leading blanks, take a sign and
+  // stop at trailing junk, reading "4x" as 4.
+  const std::size_t len = std::strlen(env);
+  if (len > 0 && std::strspn(env, "0123456789") == len) {
+    errno = 0;
+    const long v = std::strtol(env, nullptr, 10);
+    if (errno == 0 && v >= 1 && v <= INT_MAX) return static_cast<int>(v);
+  }
+  // The serving regime depends on this count (run_table's inline rule), so
+  // a typo must not silently fall back.
+  std::fprintf(stderr,
+               "ADASCALE_THREADS=%s is not a positive integer; using %d "
+               "threads\n",
+               env, fallback);
+  return fallback;
 }
 
 void parallel_for(std::int64_t n, std::int64_t grain,

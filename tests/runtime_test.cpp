@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "tensor/conv2d.h"
@@ -87,6 +92,97 @@ TEST(ThreadPool, ConcurrentCallersShareThePool) {
     });
   for (auto& t : callers) t.join();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+/// One 10007-index, grain-64 parallel_for on `pool`: the (begin, end)
+/// ranges fn saw and the threads that ran them.
+struct RangeLog {
+  std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+  std::vector<std::thread::id> threads;
+};
+
+RangeLog log_parallel_for(ThreadPool* pool) {
+  RangeLog log;
+  std::mutex mu;
+  pool->parallel_for(10007, 64, [&](std::int64_t b, std::int64_t e) {
+    const std::lock_guard<std::mutex> lock(mu);
+    log.ranges.emplace_back(b, e);
+    log.threads.push_back(std::this_thread::get_id());
+  });
+  return log;
+}
+
+TEST(InlineKernelScope, RunsTheWholeRangeOnTheCallingThread) {
+  ThreadPool pool(3);
+  const std::uint64_t before = pool.helpers_submitted();
+  RangeLog log;
+  {
+    const InlineKernelScope scope;
+    log = log_parallel_for(&pool);
+  }
+  ASSERT_EQ(log.ranges.size(), 1u);
+  EXPECT_EQ(log.ranges[0].first, 0);
+  EXPECT_EQ(log.ranges[0].second, 10007);
+  EXPECT_EQ(log.threads[0], std::this_thread::get_id());
+  EXPECT_EQ(pool.helpers_submitted(), before);
+}
+
+TEST(InlineKernelScope, NestedScopesRestoreTheOuterState) {
+  ThreadPool pool(3);
+  const std::uint64_t before = pool.helpers_submitted();
+  {
+    const InlineKernelScope outer;
+    { const InlineKernelScope inner; }
+    EXPECT_EQ(log_parallel_for(&pool).ranges.size(), 1u);
+  }
+  EXPECT_EQ(pool.helpers_submitted(), before);
+
+  // Out of every scope the same call fans out again, and a fan-out leaves
+  // the caller unmarked for the next one.
+  const std::int64_t chunks = (10007 + 63) / 64;
+  for (int call = 1; call <= 2; ++call) {
+    EXPECT_EQ(static_cast<std::int64_t>(log_parallel_for(&pool).ranges.size()),
+              chunks);
+    EXPECT_EQ(pool.helpers_submitted() - before,
+              static_cast<std::uint64_t>(call * std::min<std::int64_t>(
+                                                    3, chunks - 1)));
+  }
+}
+
+TEST(GlobalPool, ThreadCountParseAcceptsOnlyWholePositiveIntegers) {
+  struct Case {
+    const char* env;
+    int want;
+    bool warns;
+  };
+  const Case cases[] = {
+      {nullptr, 7, false},
+      {"1", 1, false},
+      {"4", 4, false},
+      {"16", 16, false},
+      {"4x", 7, true},
+      {"0", 7, true},
+      {"-2", 7, true},
+      {"four", 7, true},
+      {"", 7, true},
+      {" 4", 7, true},
+      {"+4", 7, true},
+      {"99999999999", 7, true},
+      {"99999999999999999999999", 7, true},
+  };
+  for (const Case& c : cases) {
+    const std::string name = c.env == nullptr ? "unset" : c.env;
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(parse_thread_count(c.env, 7), c.want) << name;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    if (c.warns) {
+      EXPECT_NE(err.find("ADASCALE_THREADS=" + name + " "), std::string::npos)
+          << name << ": " << err;
+      EXPECT_NE(err.find("using 7 "), std::string::npos) << name << ": " << err;
+    } else {
+      EXPECT_EQ(err, "") << name;
+    }
+  }
 }
 
 TEST(GlobalPool, ParallelKernelsMatchSerialBitForBit) {

@@ -20,6 +20,7 @@
 #include "nn/layer.h"
 #include "runtime/admission.h"
 #include "runtime/multi_stream.h"
+#include "runtime/thread_pool.h"
 #include "tensor/gemm.h"
 #include "util/clock.h"
 #include "util/rng.h"
@@ -161,6 +162,62 @@ TEST_F(StreamTableTest, TableMatchesSerialThreadedAndBatchedBitForBit) {
   MultiStreamResult bat = batched->run_batched(jobs, bcfg);
   EXPECT_EQ(result_bytes(bat), ref);
   EXPECT_EQ(bat.batch_stats.frames, bat.total_frames);
+}
+
+TEST_F(StreamTableTest, WorkersCoveringThePoolRunKernelsInline) {
+  // More busy table workers than kernel-pool threads: every frame's kernels
+  // run on its worker's own thread, so no helper task reaches the pool —
+  // and the bytes are still the serial runner's, whose one worker fans out.
+  // Snippets repeat so that every worker has a stream of its own, and all
+  // streams hold the same number of frames, so the drain has no tail.
+  ThreadPool* pool = global_pool();
+  const int workers = pool->num_threads() + 1;
+  const auto snippets = val_jobs();
+  std::vector<const Snippet*> jobs;
+  for (int j = 0; j < workers; ++j)
+    jobs.push_back(snippets[static_cast<std::size_t>(j) % snippets.size()]);
+  auto serial = make_runner(workers);
+  const std::uint64_t before_serial = pool->helpers_submitted();
+  const std::string ref = result_bytes(serial->run_serial(jobs));
+  if (pool->num_threads() > 0) {
+    EXPECT_GT(pool->helpers_submitted(), before_serial);
+  }
+
+  StreamTableConfig tcfg;
+  tcfg.workers = workers;
+  auto table = make_runner(workers);
+  const std::uint64_t before_table = pool->helpers_submitted();
+  EXPECT_EQ(result_bytes(table->run_table(jobs, tcfg)), ref);
+  EXPECT_EQ(pool->helpers_submitted(), before_table);
+
+  if (pool->num_threads() == 0) return;
+
+  // One stream fewer: one worker never gets a frame, the busy ones no
+  // longer cover the pool, and the kernels fan out again.
+  const std::vector<const Snippet*> fewer_jobs(jobs.begin(), jobs.end() - 1);
+  auto fewer_serial = make_runner(workers - 1);
+  const std::string fewer_ref =
+      result_bytes(fewer_serial->run_serial(fewer_jobs));
+  auto fewer = make_runner(workers - 1);
+  const std::uint64_t before_fewer = pool->helpers_submitted();
+  EXPECT_EQ(result_bytes(fewer->run_table(fewer_jobs, tcfg)), fewer_ref);
+  EXPECT_GT(pool->helpers_submitted(), before_fewer);
+
+  // An uneven drain: stream 0 gets a second snippet.  Its first snippet
+  // runs inline beside the other streams; once they hold no more frames
+  // its second snippet is the tail and fans out onto the freed cores.
+  jobs.push_back(snippets[0]);
+  auto uneven_serial = make_runner(workers);
+  const std::uint64_t before_uneven_serial = pool->helpers_submitted();
+  const std::string uneven_ref = result_bytes(uneven_serial->run_serial(jobs));
+  const std::uint64_t serial_helpers =
+      pool->helpers_submitted() - before_uneven_serial;
+  auto uneven = make_runner(workers);
+  const std::uint64_t before_uneven = pool->helpers_submitted();
+  EXPECT_EQ(result_bytes(uneven->run_table(jobs, tcfg)), uneven_ref);
+  const std::uint64_t tail_helpers = pool->helpers_submitted() - before_uneven;
+  EXPECT_GT(tail_helpers, 0u);
+  EXPECT_LT(tail_helpers, serial_helpers);
 }
 
 TEST_F(StreamTableTest, EquivalenceHoldsUnderEveryBackendDefault) {

@@ -178,9 +178,9 @@ void emit_detector_scales(JsonWriter* jw, Detector* det,
   det->set_execution_policy(ExecutionPolicy::env_default());
 }
 
-/// Multi-stream serving: aggregate FPS of the unbatched runner (dedicated
-/// thread per stream) vs the batch scheduler at several max_batch values,
-/// identical jobs.  Best-of-two per mode damps scheduling noise.
+/// Multi-stream serving: aggregate FPS of the unbatched table loop (run())
+/// vs the batch scheduler at several max_batch values, identical jobs.
+/// Best-of-two per mode damps scheduling noise.
 void emit_multi_stream(JsonWriter* jw, Detector* det, const Dataset& dataset) {
   const Renderer renderer = dataset.make_renderer();
   RegressorConfig rcfg;
