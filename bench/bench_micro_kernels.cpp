@@ -1,9 +1,12 @@
 // Engineering micro-benchmarks (google-benchmark): the kernels whose costs
 // determine every number in the paper tables — conv forward at each nominal
-// scale, the scalar stages around it (scene render, detection decode), the
-// regressor overhead (paper: "2 ms, ~3% of R-FCN"), NMS, optical flow, and
-// Seq-NMS.
+// scale, the pool step between the convs, the scalar stages around them
+// (scene render, detection decode), the regressor overhead (paper: "2 ms,
+// ~3% of R-FCN"), NMS, optical flow, and Seq-NMS.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "adascale/scale_regressor.h"
 #include "data/dataset.h"
@@ -12,6 +15,7 @@
 #include "runtime/exec_plan.h"
 #include "tensor/gemm.h"
 #include "tensor/image_ops.h"
+#include "tensor/ops.h"
 #include "tensor/qgemm.h"
 #include "video/optical_flow.h"
 #include "video/seq_nms.h"
@@ -146,6 +150,26 @@ void BM_BackboneForward600_Int8Maddwd(benchmark::State& state) {
   backbone_int8_at_isa(state, KernelIsa::kAvx512);
 }
 BENCHMARK(BM_BackboneForward600_Int8Maddwd);
+
+// One 2x2 max-pool step at the scale-600 pool-1 geometry (input
+// 1x16x150x200, ReLU'd like conv1's output).  argmax:1 also records the
+// argmax the eager training forward keeps for backward; argmax:0 is the
+// values-only pool that planned (serving) forwards run.
+void BM_MaxPool2(benchmark::State& state) {
+  const bool with_argmax = state.range(0) != 0;
+  Rng rng(9);
+  Tensor x(1, 16, 150, 200);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = std::max(rng.normal(), 0.0f);
+  Tensor y;
+  std::vector<int> argmax;
+  for (auto _ : state) {
+    maxpool2_forward(x, &y, with_argmax ? &argmax : nullptr);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MaxPool2)->ArgName("argmax")->Arg(1)->Arg(0);
 
 // The two scalar stages around the backbone GEMMs on a serving frame.
 // BM_Render rasterizes a validation scene at a nominal scale; BM_Decode600

@@ -246,6 +246,7 @@ void ReluLayer::backward(const Tensor& dy, Tensor* dx) {
 // --------------------------------------------------------------- MaxPool
 void MaxPool2Layer::forward(const Tensor& x, Tensor* y) {
   in_n_ = x.n(); in_c_ = x.c(); in_h_ = x.h(); in_w_ = x.w();
+  backward_ready_ = true;
   maxpool2_forward(x, y, &argmax_);
 }
 
@@ -258,7 +259,35 @@ void MaxPool2Layer::plan_forward(PlanShape* shape, ExecutionPlan* plan) const {
   *shape = plan->steps.back().out;
 }
 
+void MaxPool2Layer::forward_planned(const Tensor& x, Tensor* y,
+                                    PlanCursor* pc) {
+  [[maybe_unused]] const PlanStep& step = pc->take();
+  assert(step.in.n == x.n() && step.in.c == x.c() && step.in.h == x.h() &&
+         step.in.w == x.w());
+  // Plans are inference-only, so no backward will read an argmax: skip
+  // recording it, and mark the one an older eager forward left (possibly
+  // of another shape) unusable.
+  backward_ready_ = false;
+  maxpool2_forward(x, y, nullptr);
+}
+
 void MaxPool2Layer::backward(const Tensor& dy, Tensor* dx) {
+  // maxpool2_backward scatters through argmax_ unchecked in Release, so a
+  // stale or mismatched argmax would write out of bounds.
+  if (!backward_ready_) {
+    std::fprintf(stderr,
+                 "MaxPool2Layer: backward requires an eager forward (the "
+                 "last forward ran planned, or none ran)\n");
+    std::abort();
+  }
+  if (dy.n() != in_n_ || dy.c() != in_c_ || dy.h() != in_h_ / 2 ||
+      dy.w() != in_w_ / 2) {
+    std::fprintf(stderr,
+                 "MaxPool2Layer: backward got dy %s but the forward output "
+                 "was [%d,%d,%d,%d]\n",
+                 dy.shape_str().c_str(), in_n_, in_c_, in_h_ / 2, in_w_ / 2);
+    std::abort();
+  }
   if (dx == nullptr) return;
   if (dx->n() != in_n_ || dx->c() != in_c_ || dx->h() != in_h_ ||
       dx->w() != in_w_)

@@ -168,15 +168,19 @@ class ReluLayer : public Layer {
   Tensor cached_x_;
 };
 
-/// 2x2 stride-2 max pooling.
+/// 2x2 stride-2 max pooling.  The eager forward records the argmax that
+/// backward routes gradients through; the planned forward (inference only)
+/// computes the pooled values alone.
 class MaxPool2Layer : public Layer {
  public:
   void forward(const Tensor& x, Tensor* y) override;
   void backward(const Tensor& dy, Tensor* dx) override;
   void plan_forward(PlanShape* shape, ExecutionPlan* plan) const override;
+  void forward_planned(const Tensor& x, Tensor* y, PlanCursor* pc) override;
   std::string name() const override { return "maxpool2"; }
 
  private:
+  bool backward_ready_ = false;  ///< last forward recorded argmax_ (eager)
   std::vector<int> argmax_;
   int in_n_ = 0, in_c_ = 0, in_h_ = 0, in_w_ = 0;
 };

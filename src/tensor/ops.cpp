@@ -90,26 +90,48 @@ void maxpool2_forward(const Tensor& x, Tensor* y, std::vector<int>* argmax) {
   const int ow = x.w() / 2;
   if (y->n() != x.n() || y->c() != x.c() || y->h() != oh || y->w() != ow)
     *y = Tensor(x.n(), x.c(), oh, ow);
-  argmax->assign(y->size(), 0);
-  std::size_t oidx = 0;
-  for (int n = 0; n < x.n(); ++n)
-    for (int c = 0; c < x.c(); ++c)
-      for (int i = 0; i < oh; ++i)
+  if (argmax != nullptr) argmax->assign(y->size(), 0);
+  const std::size_t w = static_cast<std::size_t>(x.w());
+  const int planes = x.n() * x.c();
+  for (int p = 0; p < planes; ++p)
+    for (int i = 0; i < oh; ++i) {
+      // Flat indices of the window row pair's upper row and of its outputs.
+      const std::size_t top =
+          (static_cast<std::size_t>(p) * x.h() + 2 * i) * w;
+      const std::size_t o = (static_cast<std::size_t>(p) * oh + i) * ow;
+      const float* r0 = x.data() + top;
+      const float* r1 = r0 + w;
+      float* out = y->data() + o;
+      if (argmax == nullptr) {
+        // Selects rather than branches, so the row vectorizes; the rule
+        // and tap order are the argmax loop's, so the values match it
+        // byte for byte.
         for (int j = 0; j < ow; ++j) {
           float best = -1e30f;
-          int best_flat = 0;
-          for (int di = 0; di < 2; ++di)
-            for (int dj = 0; dj < 2; ++dj) {
-              int hh = 2 * i + di, ww = 2 * j + dj;
-              float v = x.at(n, c, hh, ww);
-              if (v > best) {
-                best = v;
-                best_flat = ((n * x.c() + c) * x.h() + hh) * x.w() + ww;
-              }
-            }
-          y->at(n, c, i, j) = best;
-          (*argmax)[oidx++] = best_flat;
+          best = r0[2 * j] > best ? r0[2 * j] : best;
+          best = r0[2 * j + 1] > best ? r0[2 * j + 1] : best;
+          best = r1[2 * j] > best ? r1[2 * j] : best;
+          best = r1[2 * j + 1] > best ? r1[2 * j + 1] : best;
+          out[j] = best;
         }
+        continue;
+      }
+      int* idx = argmax->data() + o;
+      for (int j = 0; j < ow; ++j) {
+        float best = -1e30f;
+        std::size_t best_flat = 0;
+        for (int di = 0; di < 2; ++di)
+          for (int dj = 0; dj < 2; ++dj) {
+            const std::size_t tap = di * w + 2 * j + dj;
+            if (r0[tap] > best) {
+              best = r0[tap];
+              best_flat = top + tap;
+            }
+          }
+        out[j] = best;
+        idx[j] = static_cast<int>(best_flat);
+      }
+    }
 }
 
 void maxpool2_backward(const Tensor& dy, const std::vector<int>& argmax,

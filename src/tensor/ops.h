@@ -24,8 +24,12 @@ void global_avg_pool_forward(const Tensor& x, Tensor* y);
 void global_avg_pool_backward(const Tensor& x_shape_like, const Tensor& dy,
                               Tensor* dx);
 
-/// 2x2 max pooling with stride 2 (floor semantics). Records argmax flat
-/// indices into `argmax` (same shape as y) for the backward pass.
+/// 2x2 max pooling with stride 2 (floor semantics).  Each window starts
+/// at best = -1e30 and takes a tap v when v > best, in the order (0,0),
+/// (0,1), (1,0), (1,1): NaN never wins, a ±0 tie keeps the first tap, and
+/// a window with no tap above -1e30 gives -1e30.  When `argmax` is non-null it
+/// receives the winning taps' flat input indices (same shape as y) for the
+/// backward pass; null computes the values only (inference).
 void maxpool2_forward(const Tensor& x, Tensor* y, std::vector<int>* argmax);
 
 /// Backward of 2x2 max pooling; accumulates into dx using recorded argmax.

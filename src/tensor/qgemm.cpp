@@ -122,19 +122,29 @@ float RangeObserver::percentile_hi(double fraction) const {
 }
 
 double calibration_clip_fraction() {
-  static const double fraction = [] {
-    constexpr double kDefault = 0.9995;
-    if (const char* env = std::getenv("ADASCALE_INT8_CLIP");
-        env != nullptr) {
-      const double v = std::atof(env);
-      if (v > 0.0 && v <= 1.0) return v;
-      std::fprintf(stderr,
-                   "ADASCALE_INT8_CLIP=%s is not in (0, 1]; using %.4f\n",
-                   env, kDefault);
-    }
-    return kDefault;
-  }();
+  static const double fraction =
+      parse_clip_fraction(std::getenv("ADASCALE_INT8_CLIP"), 0.9995);
   return fraction;
+}
+
+double parse_clip_fraction(const char* env, double fallback) {
+  if (env == nullptr) return fallback;
+  // Digits and one point only: strtod alone would skip leading blanks,
+  // take a sign, an exponent, hex, "inf" or "nan", and atof would stop at
+  // trailing junk, reading "0.5x" as 0.5.
+  const std::size_t len = std::strlen(env);
+  const char* point = std::strchr(env, '.');
+  if (len > 0 && std::strspn(env, "0123456789.") == len &&
+      std::strpbrk(env, "0123456789") != nullptr &&
+      (point == nullptr || std::strchr(point + 1, '.') == nullptr)) {
+    char* end = nullptr;
+    const double v = std::strtod(env, &end);
+    if (end == env + len && v > 0.0 && v <= 1.0) return v;
+  }
+  std::fprintf(stderr,
+               "ADASCALE_INT8_CLIP=%s is not a decimal in (0, 1]; using %g\n",
+               env, fallback);
+  return fallback;
 }
 
 QuantizedWeights quantize_weights(const float* w, int rows, int cols,

@@ -86,9 +86,16 @@ class RangeObserver {
 
 /// Fraction of |activation| mass the calibration clip keeps (the rest
 /// saturates).  Default 0.9995; override with the ADASCALE_INT8_CLIP
-/// environment variable (read once; values outside (0, 1] fall back to
-/// the default, 1 disables clipping entirely).
+/// environment variable (read once through parse_clip_fraction; 1 disables
+/// clipping entirely).
 double calibration_clip_fraction();
+
+/// Reads an ADASCALE_INT8_CLIP value.  Null (unset) gives `fallback`; a
+/// whole-string decimal of digits and at most one point ("0.999", ".5",
+/// "1") in (0, 1] gives that fraction.  Anything else ("0.5x", " 0.5",
+/// "+0.5", "5e-1", "nan", "0", "1.5", "") prints a stderr warning naming
+/// the value and the fraction used, then gives `fallback`.
+double parse_clip_fraction(const char* env, double fallback);
 
 /// q = clamp(round(x / scale) + zero_point, 0, 255).  Values outside the
 /// calibrated range saturate — the quantize/dequantize round trip is

@@ -2,19 +2,25 @@
 // backend) and reused (zero arena growth after warm-up), invalidated by
 // quantize() and training-mode re-entry, kernel choices that follow the
 // model's policy, MAC totals that match the architecture's source of
-// truth, and batched planned forwards bit-identical to per-image on both
-// fp32 backends.
+// truth, batched planned forwards bit-identical to per-image on both
+// fp32 backends, and golden bytes for the planned forward under every
+// kernel family.
 #include "runtime/exec_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "adascale/scale_set.h"
 #include "data/dataset.h"
 #include "detection/detector.h"
 #include "runtime/scratch.h"
+#include "util/file_io.h"
 
 namespace ada {
 namespace {
@@ -353,6 +359,81 @@ TEST_F(ExecPlanTest, BatchedPlannedForwardBitIdenticalPerImageBothBackends) {
         EXPECT_EQ(da[d].box.y2, db[d].box.y2);
       }
     }
+  }
+}
+
+/// Appends the raw bytes of a trivially copyable value.
+template <typename T>
+void put(std::string* bytes, const T& v) {
+  bytes->append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+/// Everything a consumer of one planned detect observes: the deep features
+/// (the regressor and the DFF cache read them) and every detection field.
+std::string detect_bytes(const Tensor& features, const DetectionOutput& d) {
+  std::string b;
+  put(&b, features.n());
+  put(&b, features.c());
+  put(&b, features.h());
+  put(&b, features.w());
+  b.append(reinterpret_cast<const char*>(features.data()),
+           features.size() * sizeof(float));
+  put(&b, d.image_h);
+  put(&b, d.image_w);
+  put(&b, d.detections.size());
+  for (const Detection& x : d.detections) {
+    put(&b, x.class_id);
+    put(&b, x.box);
+    put(&b, x.score);
+    put(&b, x.probs.size());
+    b.append(reinterpret_cast<const char*>(x.probs.data()),
+             x.probs.size() * sizeof(float));
+    put(&b, x.delta);
+    put(&b, x.anchor);
+  }
+  return b;
+}
+
+TEST_F(ExecPlanTest, PlannedForwardGoldenBytes) {
+  // The planned forward pinned byte for byte at every S_reg scale, one row
+  // per kernel family.  The models are pinned, so every ADASCALE_GEMM
+  // default reads the same bytes; the int8 rows pin the autotuner with the
+  // deterministic fakes, so their plans do not depend on timing (the
+  // alternating one serves a per-layer int8/fp32 mix).
+  struct Row {
+    const char* name;
+    ExecutionPolicy policy;
+    AutotuneBenchFn bench;  ///< nullptr: the fp32 rows race nothing
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {"fp32", ExecutionPolicy::fp32(), nullptr, 0x3078469e3e895d3cULL},
+      {"reference", ExecutionPolicy::reference(), nullptr,
+       0x4b856c309dd035caULL},
+      {"int8, int8 wins", ExecutionPolicy::int8(), bench_int8_wins,
+       0x821d1aa9e90fc73cULL},
+      {"int8, alternating", ExecutionPolicy::int8(), bench_alternating,
+       0xe769e89729ea5a9bULL},
+  };
+  std::vector<Tensor> images;
+  for (int s : ScaleSet::reg_default().scales) images.push_back(render(s));
+  // One calibration over every scale; the fp32 rows ignore the tables.
+  detector_->quantize(images);
+  for (const Row& row : rows) {
+    AutotuneGuard tune(row.bench);
+    detector_->set_execution_policy(row.policy);  // drops cached plans
+    std::string all;
+    std::ostringstream per_scale;
+    for (const Tensor& img : images) {
+      const DetectionOutput out = detector_->detect(img);
+      ASSERT_FALSE(out.detections.empty()) << row.name;
+      const std::string b = detect_bytes(detector_->features(), out);
+      per_scale << "\n  " << img.h() << "x" << img.w() << ": 0x" << std::hex
+                << fnv1a(b) << std::dec;
+      all += b;
+    }
+    EXPECT_EQ(fnv1a(all), row.hash)
+        << row.name << "; per-scale hashes:" << per_scale.str();
   }
 }
 

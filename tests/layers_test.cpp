@@ -149,6 +149,38 @@ TEST(Layers, UnflattenRejectsWrongSize) {
   EXPECT_FALSE(unflatten_params({1.0f}, params));
 }
 
+// A planned pool records no argmax, so a backward after it must not route
+// gradients through the one an older eager forward left.
+TEST(MaxPoolLayerDeathTest, BackwardAfterPlannedForwardAborts) {
+  MaxPool2Layer pool;
+  Tensor x = Tensor::chw(2, 4, 4);
+  Tensor y;
+  pool.forward(x, &y);  // eager, 4x4: records a 2x2 argmax
+  PlanShape shape{1, 2, 6, 6};
+  ExecutionPlan plan;
+  pool.plan_forward(&shape, &plan);
+  PlanCursor pc(&plan);
+  const Tensor x6 = Tensor::chw(2, 6, 6);
+  Tensor y6;
+  pool.forward_planned(x6, &y6, &pc);
+  Tensor dy(1, 2, 3, 3);
+  Tensor dx;
+  EXPECT_DEATH(pool.backward(dy, &dx),
+               "MaxPool2Layer: backward requires an eager forward");
+}
+
+TEST(MaxPoolLayerDeathTest, BackwardRejectsMismatchedGradient) {
+  MaxPool2Layer pool;
+  Tensor x = Tensor::chw(2, 4, 4);
+  Tensor y;
+  pool.forward(x, &y);
+  Tensor dy(1, 2, 3, 3);
+  Tensor dx;
+  EXPECT_DEATH(pool.backward(dy, &dx),
+               "MaxPool2Layer: backward got dy \\[1,2,3,3\\] but the forward "
+               "output was \\[1,2,2,2\\]");
+}
+
 TEST(Sgd, ConvergesOnQuadratic) {
   // Minimize (w - 3)^2 via the Param/Sgd machinery.
   Param p;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace ada {
@@ -106,6 +111,70 @@ TEST(Ops, MaxPoolOddSizeFloors) {
   maxpool2_forward(x, &y, &argmax);
   EXPECT_EQ(y.h(), 2);
   EXPECT_EQ(y.w(), 3);
+}
+
+TEST(Ops, MaxPoolValuesOnlyMatchesArgmaxPoolByteForByte) {
+  // The planned (values-only) pool must reproduce the training pool's
+  // bytes on every input, including the ones its comparison rule decides:
+  // NaN taps, ±0 ties, windows entirely below the -1e30 start, denormals.
+  // The argmax path is itself checked against the rule spelled out tap by
+  // tap through Tensor::at.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {nan,    inf,   -inf,  0.0f,   -0.0f,
+                            -2e30f, -1e30f, denorm, -denorm, 1e-39f};
+  const int num_specials = static_cast<int>(sizeof specials / sizeof *specials);
+  Rng rng(2024);
+  int nan_taps = 0, zero_ties = 0, no_winner = 0;
+  for (int t = 0; t < 2000; ++t) {
+    const int n_dim = rng.uniform_int(1, 2);
+    const int c_dim = rng.uniform_int(1, 3);
+    const int h_dim = rng.uniform_int(2, 10);
+    const int w_dim = rng.uniform_int(2, 10);
+    Tensor x(n_dim, c_dim, h_dim, w_dim);
+    for (std::size_t i = 0; i < x.size(); ++i)
+      x[i] = rng.chance(1.0f / 3.0f)
+                 ? specials[rng.uniform_int(0, num_specials - 1)]
+                 : rng.uniform(-1.0f, 1.0f);
+    Tensor with_argmax, values_only;
+    std::vector<int> argmax;
+    maxpool2_forward(x, &with_argmax, &argmax);
+    maxpool2_forward(x, &values_only, nullptr);
+    ASSERT_TRUE(values_only.same_shape(with_argmax)) << "tensor " << t;
+    ASSERT_EQ(0, std::memcmp(values_only.data(), with_argmax.data(),
+                             with_argmax.size() * sizeof(float)))
+        << "tensor " << t << " " << x.shape_str();
+
+    std::size_t o = 0;
+    for (int n = 0; n < x.n(); ++n)
+      for (int c = 0; c < x.c(); ++c)
+        for (int i = 0; i < x.h() / 2; ++i)
+          for (int j = 0; j < x.w() / 2; ++j, ++o) {
+            float best = -1e30f;
+            int best_flat = 0;
+            for (int di = 0; di < 2; ++di)
+              for (int dj = 0; dj < 2; ++dj) {
+                const float v = x.at(n, c, 2 * i + di, 2 * j + dj);
+                nan_taps += std::isnan(v) ? 1 : 0;
+                zero_ties += v == best && std::signbit(v) != std::signbit(best);
+                if (v > best) {
+                  best = v;
+                  best_flat = static_cast<int>(
+                      &x.at(n, c, 2 * i + di, 2 * j + dj) - x.data());
+                }
+              }
+            no_winner += best == -1e30f ? 1 : 0;
+            ASSERT_EQ(0, std::memcmp(&best, &with_argmax[o], sizeof best))
+                << "tensor " << t << " output " << o;
+            ASSERT_EQ(best_flat, argmax[o])
+                << "tensor " << t << " output " << o;
+          }
+  }
+  // The inputs really reach the cases the rule decides.
+  EXPECT_GT(nan_taps, 0);
+  EXPECT_GT(zero_ties, 0);
+  EXPECT_GT(no_winner, 0);
 }
 
 TEST(Ops, SoftmaxRowsNormalizes) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "detection/detector.h"
@@ -109,6 +110,52 @@ TEST(RangeObserverTest, TracksMinMaxAndPercentile) {
   const float clipped = obs.percentile_hi(0.995);
   EXPECT_LT(clipped, 2.0f);
   EXPECT_GE(clipped, 0.99f);
+}
+
+TEST(CalibrationClipTest, ParseAcceptsOnlyWholeDecimalsInRange) {
+  struct Case {
+    const char* env;
+    double want;
+    bool warns;
+  };
+  const Case cases[] = {
+      {nullptr, 0.25, false},
+      {"0.5", 0.5, false},
+      {"0.9995", 0.9995, false},
+      {".75", 0.75, false},
+      {"1", 1.0, false},
+      {"1.0", 1.0, false},
+      {"0.5x", 0.25, true},
+      {" 0.5", 0.25, true},
+      {"0.5 ", 0.25, true},
+      {"+0.5", 0.25, true},
+      {"-0.5", 0.25, true},
+      {"5e-1", 0.25, true},
+      {"0x0.8", 0.25, true},
+      {"nan", 0.25, true},
+      {"inf", 0.25, true},
+      {"0", 0.25, true},
+      {"0.0", 0.25, true},
+      {"1.5", 0.25, true},
+      {"0.5.1", 0.25, true},
+      {".", 0.25, true},
+      {"", 0.25, true},
+  };
+  for (const Case& c : cases) {
+    const std::string name = c.env == nullptr ? "unset" : c.env;
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(parse_clip_fraction(c.env, 0.25), c.want) << name;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    if (c.warns) {
+      EXPECT_NE(err.find("ADASCALE_INT8_CLIP=" + name + " "),
+                std::string::npos)
+          << name << ": " << err;
+      EXPECT_NE(err.find("using 0.25\n"), std::string::npos)
+          << name << ": " << err;
+    } else {
+      EXPECT_EQ(err, "") << name;
+    }
+  }
 }
 
 TEST(RangeObserverTest, AllZeroObservationsAreSafe) {
