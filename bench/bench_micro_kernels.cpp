@@ -1,8 +1,8 @@
 // Engineering micro-benchmarks (google-benchmark): the kernels whose costs
 // determine every number in the paper tables — conv forward at each nominal
-// scale, the pool step between the convs, the scalar stages around them
-// (scene render, detection decode), the regressor overhead (paper: "2 ms,
-// ~3% of R-FCN"), NMS, optical flow, and Seq-NMS.
+// scale, one int8 conv step, the pool step between the convs, the scalar
+// stages around them (scene render, detection decode), the regressor
+// overhead (paper: "2 ms, ~3% of R-FCN"), NMS, optical flow, and Seq-NMS.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "detection/detector.h"
 #include "detection/nms.h"
 #include "runtime/exec_plan.h"
+#include "tensor/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/image_ops.h"
 #include "tensor/ops.h"
@@ -150,6 +151,40 @@ void BM_BackboneForward600_Int8Maddwd(benchmark::State& state) {
   backbone_int8_at_isa(state, KernelIsa::kAvx512);
 }
 BENCHMARK(BM_BackboneForward600_Int8Maddwd);
+
+// One int8 conv step (3x3, stride 1, pad 1, fused ReLU) at two scale-600
+// backbone geometries: conv1 (3->16 on 150x200) and conv2 (16->32 on
+// 75x100).  Times the whole conv2d_forward_int8 call: quantizing the
+// input, lowering it to columns, packing panels, the integer kernel and
+// the dequant epilogue, single image, at the dispatched ISA.
+void BM_Conv2dInt8(benchmark::State& state) {
+  const ConvSpec spec{static_cast<int>(state.range(0)),
+                      static_cast<int>(state.range(1)), 3, 1, 1};
+  const int h = static_cast<int>(state.range(2));
+  const int w = static_cast<int>(state.range(3));
+  Rng rng(13);
+  Tensor x(1, spec.in_channels, h, w);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = std::max(rng.normal(), 0.0f);
+  std::vector<float> weights(spec.weight_count());
+  for (float& v : weights) v = rng.normal(0.0f, 0.1f);
+  const QuantizedWeights qw = quantize_weights(
+      weights.data(), spec.out_channels,
+      spec.in_channels * spec.kernel * spec.kernel,
+      choose_qparams(0.0f, 3.0f));
+  Tensor b(1, spec.out_channels, 1, 1);
+  Tensor y;
+  for (auto _ : state) {
+    conv2d_forward_int8(spec, x, qw, b, &y, /*fuse_relu=*/true);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["macs"] = static_cast<double>(conv2d_macs(spec, h, w));
+}
+BENCHMARK(BM_Conv2dInt8)
+    ->ArgNames({"in", "out", "h", "w"})
+    ->Args({3, 16, 150, 200})
+    ->Args({16, 32, 75, 100});
 
 // One 2x2 max-pool step at the scale-600 pool-1 geometry (input
 // 1x16x150x200, ReLU'd like conv1's output).  argmax:1 also records the

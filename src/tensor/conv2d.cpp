@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <cstring>
 
 #include "runtime/scratch.h"
@@ -12,18 +13,22 @@ namespace ada {
 
 namespace {
 
-/// im2col: unpacks image `n`'s input patches into a (in_c*k*k) x (oh*ow)
-/// block of a column matrix held in the caller's scratch buffer.  `cols`
-/// points at the image's first column and `ld` is the full row length of the
-/// matrix, so a batch lays its images side by side along the column axis
+/// im2col: unpacks one image's input patches into a (in_c*k*k) x (oh*ow)
+/// block of a column matrix held in the caller's scratch buffer.  `image`
+/// points at the image's first channel plane (in_c planes of h x w
+/// elements), `cols` at its first column, and `ld` is the full row length of
+/// the matrix, so a batch lays its images side by side along the column axis
 /// (image n occupies columns [n*oh*ow, (n+1)*oh*ow) of every row) and the
 /// whole batch lowers onto a single GEMM.  Only pad-clipped edge cells are
-/// zeroed — the interior is written exactly once (memcpy rows for stride 1),
-/// instead of zero-filling the whole buffer and overwriting it.
-void im2col(const Tensor& x, int n, const ConvSpec& s, int oh, int ow,
-            float* cols, std::ptrdiff_t ld) {
+/// filled with `pad` — the interior is written exactly once (memcpy rows for
+/// stride 1), instead of filling the whole buffer and overwriting it.  The
+/// fp32 paths lower floats with pad 0.0f; the int8 path lowers its quantized
+/// input bytes with the byte a zero float quantizes to.
+template <typename T>
+void im2col(const T* image, int h, int w, const ConvSpec& s, int oh, int ow,
+            T* cols, std::ptrdiff_t ld, T pad) {
   const int k = s.kernel;
-  float* row = cols;
+  T* row = cols;
   for (int c = 0; c < s.in_channels; ++c)
     for (int ki = 0; ki < k; ++ki)
       for (int kj = 0; kj < k; ++kj, row += ld) {
@@ -32,30 +37,23 @@ void im2col(const Tensor& x, int n, const ConvSpec& s, int oh, int ow,
         const int j_lo =
             off >= 0 ? 0 : (-off + s.stride - 1) / s.stride;
         const int j_hi =
-            x.w() - 1 - off >= 0
-                ? std::min(ow - 1, (x.w() - 1 - off) / s.stride)
-                : -1;
-        float* col = row;
+            w - 1 - off >= 0 ? std::min(ow - 1, (w - 1 - off) / s.stride)
+                             : -1;
+        T* col = row;
         for (int i = 0; i < oh; ++i, col += ow) {
           const int hi = i * s.stride - s.pad + ki * s.dilation;
-          if (hi < 0 || hi >= x.h() || j_lo > j_hi) {
-            std::memset(col, 0, static_cast<std::size_t>(ow) * sizeof(float));
+          if (hi < 0 || hi >= h || j_lo > j_hi) {
+            std::fill_n(col, ow, pad);
             continue;
           }
-          if (j_lo > 0)
-            std::memset(col, 0, static_cast<std::size_t>(j_lo) * sizeof(float));
-          if (j_hi < ow - 1)
-            std::memset(col + j_hi + 1, 0,
-                        static_cast<std::size_t>(ow - 1 - j_hi) * sizeof(float));
-          const float* src =
-              x.data() +
-              ((static_cast<std::size_t>(n) * x.c() + c) * x.h() + hi) *
-                  x.w() +
-              (j_lo * s.stride + off);
+          if (j_lo > 0) std::fill_n(col, j_lo, pad);
+          if (j_hi < ow - 1) std::fill_n(col + j_hi + 1, ow - 1 - j_hi, pad);
+          const T* src = image +
+                         (static_cast<std::size_t>(c) * h + hi) * w +
+                         (j_lo * s.stride + off);
           if (s.stride == 1) {
             std::memcpy(col + j_lo, src,
-                        static_cast<std::size_t>(j_hi - j_lo + 1) *
-                            sizeof(float));
+                        static_cast<std::size_t>(j_hi - j_lo + 1) * sizeof(T));
           } else {
             for (int j = j_lo; j <= j_hi; ++j)
               col[j] = src[static_cast<std::ptrdiff_t>(j - j_lo) * s.stride];
@@ -118,7 +116,7 @@ void conv2d_forward(const ConvSpec& spec, const Tensor& x, const Tensor& w,
   if (batch == 1) {
     // Single image: GEMM writes straight into y (already NCHW-contiguous).
     float* cols = frame.alloc(static_cast<std::size_t>(patch) * cells);
-    im2col(x, 0, spec, oh, ow, cols, cells);
+    im2col(x.data(), x.h(), x.w(), spec, oh, ow, cols, cells, 0.0f);
     sgemm(spec.out_channels, cells, patch, wmat, GemmMat{cols, cells, 1},
           y->data(), cells, /*accumulate=*/false, epi, backend);
     return;
@@ -134,9 +132,9 @@ void conv2d_forward(const ConvSpec& spec, const Tensor& x, const Tensor& w,
   float* cols = frame.alloc(static_cast<std::size_t>(patch) * total);
   parallel_for(batch, 1, [&](std::int64_t nb, std::int64_t ne) {
     for (std::int64_t n = nb; n < ne; ++n)
-      im2col(x, static_cast<int>(n), spec, oh, ow,
-             cols + static_cast<std::size_t>(n) * cells,
-             static_cast<std::ptrdiff_t>(total));
+      im2col(x.data() + static_cast<std::size_t>(n) * x.image_size(), x.h(),
+             x.w(), spec, oh, ow, cols + static_cast<std::size_t>(n) * cells,
+             static_cast<std::ptrdiff_t>(total), 0.0f);
   });
   float* ybuf = frame.alloc(static_cast<std::size_t>(spec.out_channels) * total);
   sgemm(spec.out_channels, static_cast<int>(total), patch, wmat,
@@ -174,16 +172,23 @@ void conv2d_forward_int8(const ConvSpec& spec, const Tensor& x,
   const int batch = x.n();
   const float* bias = b.empty() ? nullptr : b.data();
 
-  // Same lowering as the fp32 path: im2col into float columns (padding
-  // zeros quantize exactly onto the zero point), then one qgemm whose
-  // packing quantizes the columns to u8 and whose epilogue dequantizes the
-  // int32 accumulators straight into y with bias + optional ReLU fused.
+  // Quantize the input once (not once per tap), then lower the bytes.
+  // Every column entry is an input value or a pad, quantization is per
+  // element, and the pad byte is what a zero float quantizes to (the zero
+  // point), so these columns equal the quantized fp32 im2col columns byte
+  // for byte.  qgemm_u8's packing then only moves bytes, and its epilogue
+  // dequantizes the int32 accumulators straight into y with bias +
+  // optional ReLU fused.
   ScratchFrame frame(&scratch_arena());
+  std::uint8_t* xq = frame.alloc_as<std::uint8_t>(x.size());
+  quantize_u8_span(x.data(), x.size(), qw.act, xq);
+  const std::uint8_t pad = quantize_u8(0.0f, qw.act);
   if (batch == 1) {
-    float* cols = frame.alloc(static_cast<std::size_t>(patch) * cells);
-    im2col(x, 0, spec, oh, ow, cols, cells);
-    qgemm(spec.out_channels, cells, patch, qw, GemmMat{cols, cells, 1},
-          y->data(), cells, bias, fuse_relu);
+    std::uint8_t* cols =
+        frame.alloc_as<std::uint8_t>(static_cast<std::size_t>(patch) * cells);
+    im2col(xq, x.h(), x.w(), spec, oh, ow, cols, cells, pad);
+    qgemm_u8(spec.out_channels, cells, patch, qw, cols, cells, y->data(),
+             cells, bias, fuse_relu);
     return;
   }
 
@@ -191,18 +196,19 @@ void conv2d_forward_int8(const ConvSpec& spec, const Tensor& x,
   // product scattered back to NCHW — identical structure to the fp32
   // batched path, so the batch scheduler composes with INT8 unchanged.
   const std::size_t total = static_cast<std::size_t>(batch) * cells;
-  float* cols = frame.alloc(static_cast<std::size_t>(patch) * total);
+  std::uint8_t* cols =
+      frame.alloc_as<std::uint8_t>(static_cast<std::size_t>(patch) * total);
   parallel_for(batch, 1, [&](std::int64_t nb, std::int64_t ne) {
     for (std::int64_t n = nb; n < ne; ++n)
-      im2col(x, static_cast<int>(n), spec, oh, ow,
-             cols + static_cast<std::size_t>(n) * cells,
-             static_cast<std::ptrdiff_t>(total));
+      im2col(xq + static_cast<std::size_t>(n) * x.image_size(), x.h(), x.w(),
+             spec, oh, ow, cols + static_cast<std::size_t>(n) * cells,
+             static_cast<std::ptrdiff_t>(total), pad);
   });
   float* ybuf =
       frame.alloc(static_cast<std::size_t>(spec.out_channels) * total);
-  qgemm(spec.out_channels, static_cast<int>(total), patch, qw,
-        GemmMat{cols, static_cast<std::ptrdiff_t>(total), 1}, ybuf,
-        static_cast<int>(total), bias, fuse_relu);
+  qgemm_u8(spec.out_channels, static_cast<int>(total), patch, qw, cols,
+           static_cast<std::ptrdiff_t>(total), ybuf, static_cast<int>(total),
+           bias, fuse_relu);
   parallel_for(static_cast<std::int64_t>(batch) * spec.out_channels, 1,
                [&](std::int64_t rb, std::int64_t re) {
     for (std::int64_t r = rb; r < re; ++r) {
@@ -241,7 +247,8 @@ void conv2d_backward(const ConvSpec& spec, const Tensor& x, const Tensor& w,
     if (dw != nullptr) {
       // dW[oc, p] += dy[oc, :] * cols[p, :]^T — GEMM with B read transposed
       // (stride trick; packing materializes the panels).
-      im2col(x, n, spec, oh, ow, cols, cells);
+      im2col(x.data() + static_cast<std::size_t>(n) * x.image_size(), x.h(),
+             x.w(), spec, oh, ow, cols, cells, 0.0f);
       sgemm(spec.out_channels, patch, cells, GemmMat{dyn, cells, 1},
             GemmMat{cols, 1, cells}, dw->data(), patch,
             /*accumulate=*/true);
@@ -285,17 +292,28 @@ std::size_t conv2d_forward_workspace_floats(const ConvSpec& spec, int n,
     constexpr std::size_t kLine = 64 / sizeof(float);
     return (std::max<std::size_t>(floats, 1) + kLine - 1) / kLine * kLine;
   };
+  const auto byte_lines = [&](std::size_t bytes) {
+    return lines((bytes + sizeof(float) - 1) / sizeof(float));
+  };
   const int patch = spec.in_channels * spec.kernel * spec.kernel;
+  const std::size_t images = static_cast<std::size_t>(std::max(n, 1));
   const std::size_t cells = static_cast<std::size_t>(spec.out_dim(in_h)) *
                             static_cast<std::size_t>(spec.out_dim(in_w));
-  const std::size_t total = static_cast<std::size_t>(std::max(n, 1)) * cells;
-  std::size_t ws = lines(static_cast<std::size_t>(patch) * total);
+  const std::size_t total = images * cells;
+  // The column matrix holds floats, or bytes on the int8 path.
+  const std::size_t col_elems = static_cast<std::size_t>(patch) * total;
+  std::size_t ws = kernel == KernelKind::kInt8 ? byte_lines(col_elems)
+                                               : lines(col_elems);
   if (n > 1)  // batched path stages the oc-major product before scattering
     ws += lines(static_cast<std::size_t>(spec.out_channels) * total);
   const int N = static_cast<int>(total);
   switch (kernel) {
     case KernelKind::kInt8:
-      ws += qgemm_workspace_floats(spec.out_channels, N, patch);
+      // The quantized input, then qgemm_u8's panels.
+      ws += byte_lines(images * static_cast<std::size_t>(spec.in_channels) *
+                       static_cast<std::size_t>(in_h) *
+                       static_cast<std::size_t>(in_w)) +
+            qgemm_u8_workspace_floats(spec.out_channels, N, patch);
       break;
     case KernelKind::kGemmReference:
       ws += sgemm_workspace_floats(spec.out_channels, N, patch,

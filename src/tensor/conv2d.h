@@ -1,5 +1,6 @@
-// 2-D convolution via im2col + the packed SGEMM backend (tensor/gemm.h),
-// with full backward (input gradient, weight gradient, bias gradient).
+// 2-D convolution via im2col + the packed SGEMM backend (tensor/gemm.h) or
+// the int8 qgemm_u8 (tensor/qgemm.h), with full backward (input gradient,
+// weight gradient, bias gradient).
 // Column and packing workspaces live in the thread-local scratch arena
 // (runtime/scratch.h), so steady-state calls do not touch the allocator.
 //
@@ -53,8 +54,10 @@ void conv2d_forward(const ConvSpec& spec, const Tensor& x, const Tensor& w,
                     GemmBackend backend = GemmBackend::kDefault);
 
 /// INT8 forward: y = dequant(conv(quant(x), wq)) + b, same geometry and
-/// batching contract as conv2d_forward (N > 1 lowers onto one qgemm; the
-/// fused-ReLU epilogue applies in the integer kernel's write-out).  `qw`
+/// batching contract as conv2d_forward (N > 1 lowers onto one qgemm_u8;
+/// the fused-ReLU epilogue applies in the integer kernel's write-out).  x
+/// is quantized once and its bytes lowered, byte-identical to quantizing
+/// the fp32 im2col columns (tests/qgemm_test.cpp).  `qw`
 /// holds the frozen per-output-channel weights plus the calibrated input
 /// activation qparams (qw.rows == out_c, qw.cols == in_c * k * k); bias
 /// stays fp32.  Because integer accumulation is exact, outputs are
@@ -75,10 +78,11 @@ void conv2d_backward(const ConvSpec& spec, const Tensor& x, const Tensor& w,
 long long conv2d_macs(const ConvSpec& spec, int in_h, int in_w);
 
 /// Scratch-arena floats one conv2d_forward / conv2d_forward_int8 call with
-/// this geometry and kernel choice claims on the calling thread (im2col
-/// columns, the batched-output staging buffer, and the underlying GEMM's
-/// packing panels).  Execution plans record this per layer so the arena
-/// can be pre-sized once to the exact steady-state peak.
+/// this geometry and kernel choice claims on the calling thread (the int8
+/// path's quantized input, the im2col columns — bytes for int8 — the
+/// batched-output staging buffer, and the underlying GEMM's packing
+/// panels).  Execution plans record this per layer so the arena can be
+/// pre-sized once to the exact steady-state peak.
 std::size_t conv2d_forward_workspace_floats(const ConvSpec& spec, int n,
                                             int in_h, int in_w,
                                             KernelKind kernel);

@@ -31,6 +31,16 @@ constexpr float kRoundMagic = 12582912.0f;  // 1.5 * 2^23
 
 inline float round_ne(float v) { return (v + kRoundMagic) - kRoundMagic; }
 
+/// The quantize_u8 recipe on one value, given inv = 1/scale and the zero
+/// point as a float.  The clamps are selects, so a NaN (which compares
+/// false) lands on 0 — the SIMD lanes in quantize_span_body use the same
+/// selects in the same order.
+inline float quantize_lane(float x, float inv, float fzp) {
+  float q = round_ne(x * inv) + fzp;
+  q = q > 0.0f ? q : 0.0f;
+  return q < 255.0f ? q : 255.0f;
+}
+
 }  // namespace
 
 QuantParams choose_qparams(float lo, float hi) {
@@ -52,12 +62,10 @@ QuantParams choose_qparams(float lo, float hi) {
 }
 
 std::uint8_t quantize_u8(float x, const QuantParams& p) {
-  // Must mirror the qgemm packing loop operation for operation (multiply
-  // by reciprocal, magic round, add zero point, clamp) — fake-quantized
-  // fp32 references serve as bit-level oracles for the integer kernel.
-  const float inv = 1.0f / p.scale;
-  const float q = round_ne(x * inv) + static_cast<float>(p.zero_point);
-  return static_cast<std::uint8_t>(std::min(255.0f, std::max(0.0f, q)));
+  // The same lane recipe quantize_u8_span runs, so fake-quantized fp32
+  // references serve as bit-level oracles for the integer kernel.
+  return static_cast<std::uint8_t>(
+      quantize_lane(x, 1.0f / p.scale, static_cast<float>(p.zero_point)));
 }
 
 float dequantize_u8(std::uint8_t q, const QuantParams& p) {
@@ -209,8 +217,9 @@ int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
 #if defined(__GNUC__) || defined(__clang__)
 #define ADA_QGEMM_VECTOR_EXT 1
-// Vector-extension types for the quantize-and-pack path: one body serves
-// every dispatched ISA (the compiler splits wider-than-native vectors).
+// Vector-extension types for the span quantizer and the byte pack: one
+// body serves every dispatched ISA (the compiler splits wider-than-native
+// vectors).
 typedef std::int32_t v16s32 __attribute__((vector_size(64), may_alias));
 typedef std::uint8_t v16u8
     __attribute__((vector_size(16), may_alias, aligned(1)));
@@ -408,54 +417,65 @@ void pack_a_quads(const std::int8_t* A, int M, int K, std::int8_t* pa) {
   }
 }
 
-/// Packs rows [0, K) x cols [j0, j0+nc) of the fp32 B view into
-/// ceil(nc/kNR) panels of ceil(K/G) group steps x (kNR x G) u8, k-groups
-/// innermost (column j's group bytes adjacent), quantizing each element
-/// with `qp` on the way in — multiply by 1/scale, magic round, add zero
-/// point, clamp: the exact quantize_u8 recipe, so fake-quantized fp32
-/// references stay bit-level oracles.  Cols past nc and k positions past
-/// K pad with the zero point; the k-tail pad meets a zero A pad (product
-/// 0) and padded columns are never stored, so neither affects output.
+/// The quantize_u8 recipe over a contiguous span: 16 lanes at a time with
+/// the same multiply, magic round, zero-point add and select clamps as
+/// quantize_lane, then a scalar tail.  This file builds with
+/// -ffp-contract=off, so no ISA body may fuse x * inv + magic into an FMA
+/// (which rounds once where the recipe rounds twice): every body writes
+/// the bytes quantize_u8 would.
+inline __attribute__((always_inline)) void quantize_span_body(
+    const float* x, std::size_t n, const QuantParams& p, std::uint8_t* out) {
+  const float inv = 1.0f / p.scale;
+  const float fzp = static_cast<float>(p.zero_point);
+  std::size_t i = 0;
+#ifdef ADA_QGEMM_VECTOR_EXT
+  const v16f vinv = v16f{} + inv;
+  const v16f vzp = v16f{} + fzp;
+  const v16f vzero = v16f{};
+  const v16f vmax = v16f{} + 255.0f;
+  const v16f vmagic = v16f{} + kRoundMagic;
+  for (; i + 16 <= n; i += 16) {
+    v16f q = *reinterpret_cast<const v16f_u*>(x + i) * vinv;
+    q = (q + vmagic) - vmagic;  // round_ne, lane-wise
+    q = q + vzp;
+    q = q > vzero ? q : vzero;
+    q = q < vmax ? q : vmax;
+    *reinterpret_cast<v16u8*>(out + i) = __builtin_convertvector(
+        __builtin_convertvector(q, v16s32), v16u8);
+  }
+#endif
+  for (; i < n; ++i)
+    out[i] = static_cast<std::uint8_t>(quantize_lane(x[i], inv, fzp));
+}
+
+/// Packs rows [0, K) x cols [j0, j0+nc) of the row-major u8 operand B
+/// (leading dimension ldb) into ceil(nc/kNR) panels of ceil(K/G) group
+/// steps x (kNR x G) u8, k-groups innermost (column j's group bytes
+/// adjacent).  The bytes are already quantized, so this only moves them.
+/// Cols past nc and k positions past K pad with the zero point `zp`; the
+/// k-tail pad meets a zero A pad (product 0) and padded columns are never
+/// stored, so neither affects output.
 template <int G>
-inline __attribute__((always_inline)) void pack_b_quant_groups(
-    const GemmMat& B, int K, int j0, int nc, const QuantParams& qp,
-    std::uint8_t* pb) {
+inline __attribute__((always_inline)) void pack_b_groups(
+    const std::uint8_t* B, std::ptrdiff_t ldb, int K, int j0, int nc,
+    std::uint8_t zp, std::uint8_t* pb) {
   static_assert(G == 2 || G == 4, "k-group size is pairs or quads");
   const int kg = ceil_div(std::max(K, 1), G);
-  const float inv = 1.0f / qp.scale;
-  const float fzp = static_cast<float>(qp.zero_point);
-  const std::uint8_t zp8 = static_cast<std::uint8_t>(qp.zero_point);
   for (int jr = 0; jr < nc; jr += kNR) {
     const int nv = std::min(kNR, nc - jr);
+    const std::uint8_t* src = B + j0 + jr;
 #ifdef ADA_QGEMM_VECTOR_EXT
-    if (B.cs == 1 && nv == kNR) {
-      // Full unit-stride panel: quantize each k row of the group to 16 u8
-      // lanes with the SIMD recipe, then byte-shuffle the group rows into
-      // the interleaved layout (arithmetic is identical to the scalar
-      // path; the shuffles only move bytes).
-      const v16f vinv = v16f{} + inv;
-      const v16f vzp = v16f{} + fzp;
-      const v16f vzero = v16f{};
-      const v16f vmax = v16f{} + 255.0f;
-      const v16f vmagic = v16f{} + kRoundMagic;
-      const v16u8 vpad = v16u8{} + zp8;
+    if (nv == kNR) {
+      // Full panel: load each k row of the group as 16 bytes, then
+      // byte-shuffle the group rows into the interleaved layout.
+      const v16u8 vpad = v16u8{} + zp;
       for (int g = 0; g < kg; ++g, pb += kNR * G) {
         v16u8 rows[G];
         for (int u = 0; u < G; ++u) {
           const int k = g * G + u;
-          if (k < K) {
-            const float* src =
-                B.p + static_cast<std::ptrdiff_t>(k) * B.rs + (j0 + jr);
-            v16f q = *reinterpret_cast<const v16f_u*>(src) * vinv;
-            q = (q + vmagic) - vmagic;  // round_ne, lane-wise
-            q = q + vzp;
-            q = q > vzero ? q : vzero;
-            q = q < vmax ? q : vmax;
-            rows[u] = __builtin_convertvector(
-                __builtin_convertvector(q, v16s32), v16u8);
-          } else {
-            rows[u] = vpad;
-          }
+          rows[u] = k < K ? *reinterpret_cast<const v16u8*>(
+                                src + static_cast<std::ptrdiff_t>(k) * ldb)
+                          : vpad;
         }
         if constexpr (G == 2) {
           *reinterpret_cast<v16u8*>(pb) = __builtin_shufflevector(
@@ -494,36 +514,30 @@ inline __attribute__((always_inline)) void pack_b_quant_groups(
       continue;
     }
 #endif
-    // Edge / strided panels: scalar lanes, identical arithmetic.
+    // Edge panels: byte by byte, same layout.
     for (int g = 0; g < kg; ++g, pb += kNR * G) {
       for (int j = 0; j < kNR; ++j) {
         for (int u = 0; u < G; ++u) {
           const int k = g * G + u;
-          std::uint8_t qv = zp8;
-          if (j < nv && k < K) {
-            const float x =
-                B.p[static_cast<std::ptrdiff_t>(k) * B.rs +
-                    static_cast<std::ptrdiff_t>(j0 + jr + j) * B.cs];
-            const float q = round_ne(x * inv) + fzp;
-            qv = static_cast<std::uint8_t>(
-                std::min(255.0f, std::max(0.0f, q)));
-          }
-          pb[j * G + u] = qv;
+          pb[j * G + u] =
+              (j < nv && k < K) ? src[static_cast<std::ptrdiff_t>(k) * ldb + j]
+                                : zp;
         }
       }
     }
   }
 }
 
-// One column stripe end to end: quantize-and-pack its B panels, then run
-// every micro-tile.  Each stripe body is compiled for one ISA level and
+// One column stripe end to end: pack its B panels, then run every
+// micro-tile.  Each stripe body is compiled for one ISA level and
 // dispatched once (native CPUID capped by ADASCALE_ISA — tensor/gemm.h),
-// so BOTH the packing (rounding + u8 saturation) and the micro-kernel run
-// at that level.  Integer math is exact and the fp32 lane arithmetic is
-// contraction-free (-ffp-contract=off, CMakeLists.txt), so every ISA
-// produces identical bytes.
+// together with the span quantizer for the same level.  Integer math is
+// exact and the fp32 lane arithmetic is contraction-free
+// (-ffp-contract=off, CMakeLists.txt), so every ISA produces identical
+// bytes.
 struct QStripeArgs {
-  const GemmMat* B;
+  const std::uint8_t* B;  ///< row-major u8 operand
+  std::ptrdiff_t ldb;
   int M, K;
   int j0, nc;
   const void* pa;    ///< packed A panels (s16 pairs or s8 quads)
@@ -537,13 +551,15 @@ struct QStripeArgs {
   bool relu;
 };
 
-using QStripeFn = void (*)(const QStripeArgs&, const QuantParams&);
+using QStripeFn = void (*)(const QStripeArgs&);
 using QMicroFn = void (*)(const QTile&);
+using QSpanFn = void (*)(const float*, std::size_t, const QuantParams&,
+                         std::uint8_t*);
 
 template <int G, QMicroFn Micro>
-inline __attribute__((always_inline)) void qstripe_run(
-    const QStripeArgs& a, const QuantParams& qp) {
-  pack_b_quant_groups<G>(*a.B, a.K, a.j0, a.nc, qp, a.pb);
+inline __attribute__((always_inline)) void qstripe_run(const QStripeArgs& a) {
+  pack_b_groups<G>(a.B, a.ldb, a.K, a.j0, a.nc,
+                   static_cast<std::uint8_t>(a.azp), a.pb);
   const int kg = ceil_div(std::max(a.K, 1), G);
   // Both A layouts spend 4 bytes per (row, k-group): 2 s16 or 4 s8.
   const std::size_t a_panel = static_cast<std::size_t>(kMR) * 4 *
@@ -573,27 +589,42 @@ inline __attribute__((always_inline)) void qstripe_run(
   }
 }
 
-void qstripe_generic(const QStripeArgs& a, const QuantParams& qp) {
-  qstripe_run<2, qmicro_pair_generic>(a, qp);
+void qstripe_generic(const QStripeArgs& a) {
+  qstripe_run<2, qmicro_pair_generic>(a);
+}
+void quantize_span_generic(const float* x, std::size_t n,
+                           const QuantParams& p, std::uint8_t* out) {
+  quantize_span_body(x, n, p, out);
 }
 
 #ifdef ADA_QGEMM_X86_DISPATCH
-__attribute__((target("avx2"))) void qstripe_avx2(const QStripeArgs& a,
-                                                  const QuantParams& qp) {
-  qstripe_run<2, qmicro_pair_avx2>(a, qp);
+__attribute__((target("avx2"))) void qstripe_avx2(const QStripeArgs& a) {
+  qstripe_run<2, qmicro_pair_avx2>(a);
 }
 __attribute__((target("avx512f,avx512bw"))) void qstripe_avx512(
-    const QStripeArgs& a, const QuantParams& qp) {
-  qstripe_run<2, qmicro_pair_avx512>(a, qp);
+    const QStripeArgs& a) {
+  qstripe_run<2, qmicro_pair_avx512>(a);
 }
 __attribute__((target("avx512f,avx512bw,avx512vnni"))) void qstripe_vnni(
-    const QStripeArgs& a, const QuantParams& qp) {
-  qstripe_run<4, qmicro_quad_vnni>(a, qp);
+    const QStripeArgs& a) {
+  qstripe_run<4, qmicro_quad_vnni>(a);
+}
+// Compiled for baseline x86-64 the span quantizer's u8 narrowing
+// scalarizes; the targeted bodies keep it in vector registers.  VNNI adds
+// nothing to quantization, so the VNNI dispatch shares the AVX-512 body.
+__attribute__((target("avx2"))) void quantize_span_avx2(
+    const float* x, std::size_t n, const QuantParams& p, std::uint8_t* out) {
+  quantize_span_body(x, n, p, out);
+}
+__attribute__((target("avx512f,avx512bw"))) void quantize_span_avx512(
+    const float* x, std::size_t n, const QuantParams& p, std::uint8_t* out) {
+  quantize_span_body(x, n, p, out);
 }
 #endif
 
 struct QDispatch {
   QStripeFn fn;
+  QSpanFn quantize;
   KernelIsa isa;
   int group;  ///< reduction k-group size: 2 (pairs) or 4 (VNNI quads)
 };
@@ -602,18 +633,18 @@ QDispatch dispatch_for(KernelIsa isa) {
 #ifdef ADA_QGEMM_X86_DISPATCH
   switch (isa) {
     case KernelIsa::kVnni:
-      return {qstripe_vnni, KernelIsa::kVnni, 4};
+      return {qstripe_vnni, quantize_span_avx512, KernelIsa::kVnni, 4};
     case KernelIsa::kAvx512:
-      return {qstripe_avx512, KernelIsa::kAvx512, 2};
+      return {qstripe_avx512, quantize_span_avx512, KernelIsa::kAvx512, 2};
     case KernelIsa::kAvx2:
-      return {qstripe_avx2, KernelIsa::kAvx2, 2};
+      return {qstripe_avx2, quantize_span_avx2, KernelIsa::kAvx2, 2};
     default:
       break;
   }
 #else
   (void)isa;
 #endif
-  return {qstripe_generic, KernelIsa::kGeneric, 2};
+  return {qstripe_generic, quantize_span_generic, KernelIsa::kGeneric, 2};
 }
 
 /// Test/bench override (set_qgemm_isa); -1 means "use the capped
@@ -625,6 +656,14 @@ QDispatch qstripe_dispatch() {
   const int ov = g_qisa_override.load(std::memory_order_relaxed);
   if (ov >= 0) return dispatch_for(static_cast<KernelIsa>(ov));
   return d;
+}
+
+/// Arena floats a byte request claims: the arena rounds every request up
+/// to whole 64-byte cache lines.
+std::size_t arena_floats_for_bytes(std::size_t bytes) {
+  constexpr std::size_t kLine = 64;
+  return (std::max<std::size_t>(bytes, 1) + kLine - 1) / kLine * kLine /
+         sizeof(float);
 }
 
 }  // namespace
@@ -648,8 +687,14 @@ void clear_qgemm_isa() {
   g_qisa_override.store(-1, std::memory_order_relaxed);
 }
 
-void qgemm(int M, int N, int K, const QuantizedWeights& W, const GemmMat& B,
-           float* C, int ldc, const float* bias, bool relu) {
+void quantize_u8_span(const float* x, std::size_t n, const QuantParams& p,
+                      std::uint8_t* out) {
+  qstripe_dispatch().quantize(x, n, p, out);
+}
+
+void qgemm_u8(int M, int N, int K, const QuantizedWeights& W,
+              const std::uint8_t* B, std::ptrdiff_t ldb, float* C, int ldc,
+              const float* bias, bool relu) {
   if (M <= 0 || N <= 0) return;
   assert(M == W.rows && K == W.cols);
   // u8 x s8 products are ≤ 255 * 127; the full-K int32 chain is exact
@@ -668,8 +713,8 @@ void qgemm(int M, int N, int K, const QuantizedWeights& W, const GemmMat& B,
     row_scale[m] = W.act.scale * W.scale[static_cast<std::size_t>(m)];
 
   // Pack A once up front (shared, read-only); stripes own disjoint C
-  // columns and quantize-and-pack their own B panels thread-locally.
-  // A panels spend one dword per (row, k-group) in both layouts.
+  // columns and pack their own B panels thread-locally.  A panels spend
+  // one dword per (row, k-group) in both layouts.
   const std::size_t a_words = static_cast<std::size_t>(ceil_div(M, kMR)) *
                               kMR * static_cast<std::size_t>(kg);
   std::int32_t* pa = frame.alloc_as<std::int32_t>(a_words);
@@ -685,7 +730,8 @@ void qgemm(int M, int N, int K, const QuantizedWeights& W, const GemmMat& B,
       const int nc = std::min(kNC, N - j0);
       ScratchFrame f(&scratch_arena());
       QStripeArgs a;
-      a.B = &B;
+      a.B = B;
+      a.ldb = ldb;
       a.M = M;
       a.K = K;
       a.j0 = j0;
@@ -701,22 +747,38 @@ void qgemm(int M, int N, int K, const QuantizedWeights& W, const GemmMat& B,
       a.azp = W.act.zero_point;
       a.row_bias = bias;
       a.relu = relu;
-      qd.fn(a, W.act);
+      qd.fn(a);
     }
   });
 }
 
-std::size_t qgemm_workspace_floats(int M, int N, int K) {
-  // Mirrors qgemm's ScratchFrame allocations: row_scale (M floats), the
+void qgemm(int M, int N, int K, const QuantizedWeights& W, const GemmMat& B,
+           float* C, int ldc, const float* bias, bool relu) {
+  if (M <= 0 || N <= 0) return;
+  // Quantize the view once into a dense K x N byte matrix: unit-stride
+  // rows through the span quantizer, strided ones (the linear path's
+  // transposed view) element by element with the same recipe.
+  ScratchFrame frame(&scratch_arena());
+  std::uint8_t* q = frame.alloc_as<std::uint8_t>(
+      static_cast<std::size_t>(std::max(K, 0)) * static_cast<std::size_t>(N));
+  for (int k = 0; k < K; ++k) {
+    const float* row = B.p + static_cast<std::ptrdiff_t>(k) * B.rs;
+    std::uint8_t* dst = q + static_cast<std::size_t>(k) * N;
+    if (B.cs == 1) {
+      quantize_u8_span(row, static_cast<std::size_t>(N), W.act, dst);
+    } else {
+      for (int j = 0; j < N; ++j)
+        dst[j] = quantize_u8(row[static_cast<std::ptrdiff_t>(j) * B.cs], W.act);
+    }
+  }
+  qgemm_u8(M, N, K, W, q, N, C, ldc, bias, relu);
+}
+
+std::size_t qgemm_u8_workspace_floats(int M, int N, int K) {
+  // Mirrors qgemm_u8's ScratchFrame allocations: row_scale (M floats), the
   // k-grouped A panels (one dword per row and k-group), and one u8 B
-  // stripe panel on the calling thread.  Byte requests ride the float
-  // arena rounded up to cache lines.  The k-group size follows the
+  // stripe panel on the calling thread.  The k-group size follows the
   // dispatched kernel (pairs, or quads under VNNI).
-  const auto lines = [](std::size_t bytes) {
-    constexpr std::size_t kLine = 64;
-    return (std::max<std::size_t>(bytes, 1) + kLine - 1) / kLine * kLine /
-           sizeof(float);
-  };
   const QDispatch& qd = qstripe_dispatch();
   const int kg = ceil_div(std::max(K, 1), qd.group);
   const std::size_t a_bytes = static_cast<std::size_t>(ceil_div(M, kMR)) *
@@ -726,8 +788,15 @@ std::size_t qgemm_workspace_floats(int M, int N, int K) {
   const std::size_t b_bytes = static_cast<std::size_t>(ceil_div(nc, kNR)) *
                               kNR * static_cast<std::size_t>(qd.group) *
                               static_cast<std::size_t>(kg);
-  return lines(static_cast<std::size_t>(M) * sizeof(float)) +
-         lines(a_bytes) + lines(b_bytes);
+  return arena_floats_for_bytes(static_cast<std::size_t>(M) * sizeof(float)) +
+         arena_floats_for_bytes(a_bytes) + arena_floats_for_bytes(b_bytes);
+}
+
+std::size_t qgemm_workspace_floats(int M, int N, int K) {
+  // qgemm's quantized operand, then the qgemm_u8 frame under it.
+  return arena_floats_for_bytes(static_cast<std::size_t>(std::max(K, 0)) *
+                                static_cast<std::size_t>(std::max(N, 0))) +
+         qgemm_u8_workspace_floats(M, N, K);
 }
 
 }  // namespace ada

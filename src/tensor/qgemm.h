@@ -11,6 +11,12 @@
 // fp32 bias, and the optional ReLU into the tile write-out, so the rest
 // of the network never sees an integer tensor.
 //
+// The B operand reaches the kernel as bytes.  quantize_u8_span quantizes
+// an fp32 span once; qgemm_u8 takes a row-major u8 matrix and its panel
+// packing only moves bytes.  The int8 conv quantizes its input tensor once
+// and lowers the bytes (tensor/conv2d.cpp); the fp32-operand qgemm is a
+// thin wrapper that quantizes its view, then calls qgemm_u8.
+//
 // The micro-kernel processes the reduction axis in k-groups: a vpmaddwd
 // pair-wise s16 kernel on AVX2/AVX-512 (u8/s8 widened to s16, adjacent-k
 // multiply-add straight into s32 — two multiplies per lane-instruction)
@@ -34,6 +40,7 @@
 // bound rather than widening to int64.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -99,8 +106,18 @@ double parse_clip_fraction(const char* env, double fallback);
 
 /// q = clamp(round(x / scale) + zero_point, 0, 255).  Values outside the
 /// calibrated range saturate — the quantize/dequantize round trip is
-/// bounded by scale/2 only inside [lo, hi] (tests/qgemm_test.cpp).
+/// bounded by scale/2 only inside [lo, hi] (tests/qgemm_test.cpp).  The
+/// exact recipe: multiply by 1/scale, round half to even, add the zero
+/// point, then clamp with q > 0 ? q : 0 and q < 255 ? q : 255, so NaN
+/// gives 0, +inf 255 and -inf 0.
 std::uint8_t quantize_u8(float x, const QuantParams& p);
+
+/// quantize_u8 over n contiguous floats into out[0, n), byte-identical to
+/// calling it per element: SIMD lanes of the same recipe, then a scalar
+/// tail.  Dispatched per ISA like the qgemm kernels (ADASCALE_ISA and
+/// set_qgemm_isa reach it).
+void quantize_u8_span(const float* x, std::size_t n, const QuantParams& p,
+                      std::uint8_t* out);
 
 /// Inverse map for tests and diagnostics: (q - zero_point) * scale.
 float dequantize_u8(std::uint8_t q, const QuantParams& p);
@@ -127,12 +144,12 @@ struct QuantizedWeights {
 QuantizedWeights quantize_weights(const float* w, int rows, int cols,
                                   const QuantParams& act);
 
-/// C(MxN fp32, leading dim ldc) = dequant( Wq(MxK s8) * quant(B)(KxN u8) ).
+/// C(MxN fp32, leading dim ldc) = dequant( Wq(MxK s8) * B(KxN u8) ).
 ///
-/// B is a strided fp32 view (same GemmMat convention as sgemm); its
-/// elements are quantized to u8 with W.act during panel packing, so callers
-/// hand in the same float im2col columns / input rows they would give
-/// sgemm.  The epilogue computes, per element:
+/// B is a row-major byte matrix with leading dimension ldb whose bytes are
+/// already quantized with W.act (quantize_u8_span); packing only moves
+/// them into the kernel's k-group panels.  The epilogue computes, per
+/// element:
 ///
 ///   C[m][j] = (acc[m][j] - act.zero_point * row_sum[m])
 ///             * (act.scale * scale[m]) + bias[m]     (then ReLU if relu)
@@ -140,13 +157,24 @@ QuantizedWeights quantize_weights(const float* w, int rows, int cols,
 /// `bias` (per row, may be null) stays fp32.  Parallelizes over disjoint
 /// column stripes via the runtime pool; see header comment for the
 /// determinism contract.  M must equal W.rows and K must equal W.cols.
+void qgemm_u8(int M, int N, int K, const QuantizedWeights& W,
+              const std::uint8_t* B, std::ptrdiff_t ldb, float* C, int ldc,
+              const float* bias, bool relu);
+
+/// qgemm_u8 over an fp32 operand: quantizes the strided view B (same
+/// GemmMat convention as sgemm) once with W.act into a dense K x N byte
+/// matrix, then runs qgemm_u8 on it — the entry for callers that hold
+/// floats, such as linear_forward_int8.
 void qgemm(int M, int N, int K, const QuantizedWeights& W, const GemmMat& B,
            float* C, int ldc, const float* bias, bool relu);
 
-/// Scratch-arena floats one qgemm call with these shapes claims on the
-/// calling thread (epilogue row scales, k-grouped A panels, one quantized
-/// B stripe panel), rounded the way the arena rounds — the qgemm
-/// counterpart of sgemm_workspace_floats, recorded by execution plans.
+/// Scratch-arena floats one qgemm_u8 call with these shapes claims on the
+/// calling thread (epilogue row scales, k-grouped A panels, one B stripe
+/// panel), rounded the way the arena rounds — the qgemm counterpart of
+/// sgemm_workspace_floats, recorded by execution plans.
+std::size_t qgemm_u8_workspace_floats(int M, int N, int K);
+
+/// qgemm_u8_workspace_floats plus the wrapper's K x N quantized operand.
 std::size_t qgemm_workspace_floats(int M, int N, int K);
 
 /// Name of the quantized micro-kernel the dispatcher picked on this

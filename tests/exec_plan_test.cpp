@@ -1,5 +1,6 @@
 // Ahead-of-time execution plans: built lazily once per (model, shape,
-// backend) and reused (zero arena growth after warm-up), invalidated by
+// backend) and reused (zero arena growth after warm-up, and an int8 plan's
+// arena reserve covering its first forward), invalidated by
 // quantize() and training-mode re-entry, kernel choices that follow the
 // model's policy, MAC totals that match the architecture's source of
 // truth, batched planned forwards bit-identical to per-image on both
@@ -14,12 +15,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adascale/scale_set.h"
 #include "data/dataset.h"
 #include "detection/detector.h"
 #include "runtime/scratch.h"
+#include "runtime/thread_pool.h"
 #include "util/file_io.h"
 
 namespace ada {
@@ -134,6 +137,40 @@ TEST_F(ExecPlanTest, ZeroArenaGrowthAfterWarmup) {
   }
   EXPECT_EQ(scratch_arena().heap_alloc_count(), allocs)
       << "steady-state planned forwards must not touch the allocator";
+}
+
+TEST_F(ExecPlanTest, Int8ArenaReserveCoversPlannedForward) {
+  // The int8 plan's arena_floats, reserved up front on a thread that has
+  // never run a kernel, must cover every byte workspace the int8 conv and
+  // qgemm claim: one planned forward then grows nothing.  Kernels run
+  // inline so every stripe's panels land on this thread's arena.
+  BackendGuard guard;
+  AutotuneGuard tune(bench_int8_wins);
+  std::vector<Tensor> images;
+  for (int s : ScaleSet::reg_default().scales) images.push_back(render(s));
+  detector_->quantize(images);
+  detector_->set_execution_policy(ExecutionPolicy::int8());
+  for (const Tensor& img : images) {
+    // Built here, so the autotune probes warm this thread, not the fresh one.
+    const ExecutionPlan& plan = detector_->plan_for(1, img.h(), img.w());
+    for (const PlanStep& s : plan.steps) {
+      if (s.kernel != KernelKind::kNone) {
+        ASSERT_EQ(s.kernel, KernelKind::kInt8) << s.layer;
+      }
+    }
+    std::size_t grown = 0;
+    std::thread fresh([&] {
+      InlineKernelScope inline_kernels;
+      ScratchArena& arena = scratch_arena();
+      arena.reserve(plan.arena_floats);
+      const std::size_t allocs = arena.heap_alloc_count();
+      detector_->forward(img);
+      grown = arena.heap_alloc_count() - allocs;
+    });
+    fresh.join();
+    EXPECT_EQ(grown, 0u) << img.h() << "x" << img.w()
+                         << ": arena_floats=" << plan.arena_floats;
+  }
 }
 
 TEST_F(ExecPlanTest, PlanContentMatchesArchitecture) {
@@ -272,11 +309,14 @@ TEST_F(ExecPlanTest, AutotuneChoicesMemoizedAndSharedAcrossInstances) {
   // A weight-aliased clone shares the plan cache outright; even an
   // INDEPENDENT instance with the same architecture re-measures nothing —
   // the choice cache is process-global, which is what keeps
-  // master-vs-clone outputs bit-identical.
+  // master-vs-clone outputs bit-identical.  The clone's policy change
+  // clears the shared cache (freeing `plan` and `batched`), so both plans
+  // are taken after it.
   std::unique_ptr<Detector> clone = clone_detector_shared(detector_.get());
   clone->set_execution_policy(ExecutionPolicy::int8());
-  const ExecutionPlan& clone_plan = clone->plan_for(1, img.h(), img.w());
-  EXPECT_EQ(&clone_plan, &plan) << "aliased clones share the plan cache";
+  EXPECT_EQ(&clone->plan_for(1, img.h(), img.w()),
+            &detector_->plan_for(1, img.h(), img.w()))
+      << "aliased clones share the plan cache";
   EXPECT_EQ(g_bench_calls, calls_after_first);
 
   clear_autotune_cache();

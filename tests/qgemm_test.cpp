@@ -1,11 +1,14 @@
 // INT8 quantization primitives and the qgemm kernel (tensor/qgemm.h):
 // round-trip error bounds, per-channel scale edge cases (all-zero channel,
 // saturating outliers), agreement with a fake-quantized fp32 reference
-// GEMM on odd shapes, the int8 conv/linear paths, batch bit-identity, and
-// quantization propagation through detector/regressor clones.
+// GEMM on odd shapes, the span quantizer against the per-element one, the
+// int8 conv's byte lowering against the fp32 lowering byte for byte, the
+// int8 conv/linear paths, batch bit-identity, and quantization propagation
+// through detector/regressor clones.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -396,6 +399,64 @@ TEST(QgemmIsaTest, OverrideAboveEnvCapAllowedAndRestored) {
   EXPECT_EQ(capped, qgemm_kernel_isa());
 }
 
+/// Value `i` of an input that stresses quantization: every third one is
+/// NaN, ±inf, ±0, beyond the calibrated range [lo, hi], or on an exact
+/// half step between two codes; the rest are uniform in [lo, hi].
+float stress_value(std::size_t i, const QuantParams& p, float lo, float hi,
+                   Rng* rng) {
+  if (i % 3 != 0) return rng->uniform(lo, hi);
+  const float half_step =
+      (static_cast<float>(rng->uniform_int(0, 254) - p.zero_point) + 0.5f) *
+      p.scale;
+  const float specials[] = {std::nanf(""),
+                            INFINITY,
+                            -INFINITY,
+                            0.0f,
+                            -0.0f,
+                            hi * 3.0f + 1.0f,
+                            lo * 3.0f - 1.0f,
+                            half_step};
+  return specials[(i / 3) % (sizeof(specials) / sizeof(specials[0]))];
+}
+
+TEST(QuantizeSpanTest, MatchesPerElementQuantizeUnderEveryIsa) {
+  // A power-of-two scale makes the half steps exact, so round-half-even
+  // shows: 0.5 and -0.5 steps land on the zero point, 1.5 on zp + 2.
+  const QuantParams p{0.25f, 10};
+  EXPECT_EQ(quantize_u8(std::nanf(""), p), 0);
+  EXPECT_EQ(quantize_u8(INFINITY, p), 255);
+  EXPECT_EQ(quantize_u8(-INFINITY, p), 0);
+  EXPECT_EQ(quantize_u8(1e30f, p), 255);
+  EXPECT_EQ(quantize_u8(-1e30f, p), 0);
+  EXPECT_EQ(quantize_u8(0.0f, p), 10);
+  EXPECT_EQ(quantize_u8(-0.0f, p), 10);
+  EXPECT_EQ(quantize_u8(0.125f, p), 10);
+  EXPECT_EQ(quantize_u8(-0.125f, p), 10);
+  EXPECT_EQ(quantize_u8(0.375f, p), 12);
+  EXPECT_EQ(quantize_u8(-0.375f, p), 8);
+
+  // Every length 0-47 covers empty, tail-only and whole-vector-plus-tail
+  // spans; start offsets of 0-2 floats misalign the loads.
+  Rng rng(53);
+  std::vector<float> x(64);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = stress_value(i, p, -2.0f, 60.0f, &rng);
+  IsaOverrideGuard guard;
+  for (KernelIsa isa : supported_isas()) {
+    set_qgemm_isa(isa);
+    for (std::size_t n = 0; n < 48; ++n) {
+      const float* src = x.data() + n % 3;
+      std::vector<std::uint8_t> got(n + 1, 0xAB);
+      quantize_u8_span(src, n, p, got.data());
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(got[i], quantize_u8(src[i], p))
+            << kernel_isa_name(isa) << " n=" << n << " i=" << i
+            << " x=" << src[i];
+      EXPECT_EQ(got[n], 0xAB) << "wrote past the span, n=" << n;
+    }
+  }
+}
+
 // ------------------------------------------------------- conv/linear int8
 
 Tensor random_tensor(int n, int c, int h, int w, float lo, float hi,
@@ -403,6 +464,98 @@ Tensor random_tensor(int n, int c, int h, int w, float lo, float hi,
   Tensor t(n, c, h, w);
   for (std::size_t i = 0; i < t.size(); ++i) t[i] = rng->uniform(lo, hi);
   return t;
+}
+
+/// Image n of x lowered to a zero-padded fp32 column matrix, one tap at a
+/// time: (in_c*k*k) rows of oh*ow columns.
+std::vector<float> float_columns(const Tensor& x, int n, const ConvSpec& s) {
+  const int oh = s.out_dim(x.h());
+  const int ow = s.out_dim(x.w());
+  const int k = s.kernel;
+  std::vector<float> cols(
+      static_cast<std::size_t>(s.in_channels) * k * k * oh * ow, 0.0f);
+  std::size_t r = 0;
+  for (int c = 0; c < s.in_channels; ++c)
+    for (int ki = 0; ki < k; ++ki)
+      for (int kj = 0; kj < k; ++kj, ++r)
+        for (int i = 0; i < oh; ++i)
+          for (int j = 0; j < ow; ++j) {
+            const int hi = i * s.stride - s.pad + ki * s.dilation;
+            const int wj = j * s.stride - s.pad + kj * s.dilation;
+            if (hi >= 0 && hi < x.h() && wj >= 0 && wj < x.w())
+              cols[(r * oh + i) * ow + j] = x.at(n, c, hi, wj);
+          }
+  return cols;
+}
+
+TEST(ConvInt8Test, ByteLoweringMatchesFloatLoweringBytewise) {
+  // conv2d_forward_int8 quantizes its input once and lowers bytes; that
+  // must give, byte for byte, the float-operand qgemm run over the fp32
+  // im2col columns (each column entry quantized where it is packed, a
+  // zero pad quantizing to the zero point).  lo < 0 keeps the zero point
+  // off 0, so a pad byte of 0 would show.
+  struct Case {
+    ConvSpec spec;
+    int n, h, w;
+  };
+  const Case cases[] = {
+      {ConvSpec{3, 8, 3, 1, 1}, 1, 9, 11},
+      {ConvSpec{3, 5, 3, 1, 1}, 3, 6, 19},
+      {ConvSpec{4, 6, 3, 2, 1}, 1, 10, 13},
+      {ConvSpec{4, 6, 3, 2, 1}, 3, 7, 8},
+      {ConvSpec{5, 7, 1, 1, 0}, 1, 6, 7},
+      {ConvSpec{5, 7, 1, 1, 0}, 3, 5, 4},
+      // Dilation 4 on inputs smaller than its reach: whole rows of some
+      // taps are padding.
+      {ConvSpec{3, 5, 3, 1, 4, 4}, 1, 3, 5},
+      {ConvSpec{2, 4, 3, 1, 4, 4}, 3, 4, 2},
+      // W = 1.
+      {ConvSpec{2, 4, 3, 1, 1}, 1, 7, 1},
+      {ConvSpec{2, 3, 1, 1, 0}, 3, 5, 1},
+  };
+  Rng rng(61);
+  IsaOverrideGuard guard;
+  for (const Case& tc : cases) {
+    const ConvSpec& spec = tc.spec;
+    const float lo = -rng.uniform(0.5f, 2.0f);
+    const float hi = rng.uniform(0.5f, 3.0f);
+    const QuantParams act = choose_qparams(lo, hi);
+    ASSERT_NE(act.zero_point, 0);
+    Tensor x(tc.n, spec.in_channels, tc.h, tc.w);
+    for (std::size_t i = 0; i < x.size(); ++i)
+      x[i] = stress_value(i, act, lo, hi, &rng);
+    const int patch = spec.in_channels * spec.kernel * spec.kernel;
+    const QuantizedWeights qw = quantize_weights(
+        random_tensor(spec.out_channels, spec.in_channels, spec.kernel,
+                      spec.kernel, -0.5f, 0.5f, &rng)
+            .data(),
+        spec.out_channels, patch, act);
+    const Tensor b =
+        random_tensor(1, spec.out_channels, 1, 1, -0.2f, 0.2f, &rng);
+    const bool relu = tc.n == 1;
+    const int cells = spec.out_dim(tc.h) * spec.out_dim(tc.w);
+    const std::size_t per_image =
+        static_cast<std::size_t>(spec.out_channels) * cells;
+
+    for (KernelIsa isa : supported_isas()) {
+      set_qgemm_isa(isa);
+      Tensor y;
+      conv2d_forward_int8(spec, x, qw, b, &y, relu);
+      ASSERT_EQ(y.size(), per_image * tc.n);
+      for (int n = 0; n < tc.n; ++n) {
+        const std::vector<float> cols = float_columns(x, n, spec);
+        std::vector<float> want(per_image);
+        qgemm(spec.out_channels, cells, patch, qw,
+              GemmMat{cols.data(), cells, 1}, want.data(), cells, b.data(),
+              relu);
+        EXPECT_EQ(0, std::memcmp(y.data() + per_image * n, want.data(),
+                                 per_image * sizeof(float)))
+            << kernel_isa_name(isa) << " k=" << spec.kernel
+            << " stride=" << spec.stride << " dilation=" << spec.dilation
+            << " " << tc.n << "x" << tc.h << "x" << tc.w << " image " << n;
+      }
+    }
+  }
 }
 
 TEST(ConvInt8Test, MatchesFakeQuantFp32Conv) {
