@@ -1,8 +1,9 @@
 // Engineering micro-benchmarks (google-benchmark): the kernels whose costs
 // determine every number in the paper tables — conv forward at each nominal
-// scale, one int8 conv step, the pool step between the convs, the scalar
-// stages around them (scene render, detection decode), the regressor
-// overhead (paper: "2 ms, ~3% of R-FCN"), NMS, optical flow, and Seq-NMS.
+// scale, one int8 and one fp32 conv step, the pool step between the convs,
+// the scalar stages around them (scene render, detection decode), the
+// regressor overhead (paper: "2 ms, ~3% of R-FCN"), NMS, optical flow, and
+// Seq-NMS.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -152,39 +153,88 @@ void BM_BackboneForward600_Int8Maddwd(benchmark::State& state) {
 }
 BENCHMARK(BM_BackboneForward600_Int8Maddwd);
 
+// One conv step's operands at a scale-600 serving geometry (stride 1,
+// "same" padding, one image), shared by the int8 and fp32 conv rows:
+// ReLU'd normal activations, like a backbone conv's input, and N(0, 0.1)
+// weights.
+struct ConvStep {
+  ConvSpec spec;
+  Tensor x;
+  Tensor weights;
+  Tensor bias;
+};
+
+ConvStep conv_step(int in, int out, int kernel, int h, int w) {
+  ConvStep s;
+  s.spec = ConvSpec{in, out, kernel, 1, kernel / 2};
+  Rng rng(13);
+  s.x = Tensor(1, in, h, w);
+  for (std::size_t i = 0; i < s.x.size(); ++i)
+    s.x[i] = std::max(rng.normal(), 0.0f);
+  s.weights = Tensor(out, in, kernel, kernel);
+  for (std::size_t i = 0; i < s.weights.size(); ++i)
+    s.weights[i] = rng.normal(0.0f, 0.1f);
+  s.bias = Tensor(1, out, 1, 1);
+  return s;
+}
+
 // One int8 conv step (3x3, stride 1, pad 1, fused ReLU) at two scale-600
 // backbone geometries: conv1 (3->16 on 150x200) and conv2 (16->32 on
 // 75x100).  Times the whole conv2d_forward_int8 call: quantizing the
 // input, lowering it to columns, packing panels, the integer kernel and
 // the dequant epilogue, single image, at the dispatched ISA.
 void BM_Conv2dInt8(benchmark::State& state) {
-  const ConvSpec spec{static_cast<int>(state.range(0)),
-                      static_cast<int>(state.range(1)), 3, 1, 1};
-  const int h = static_cast<int>(state.range(2));
-  const int w = static_cast<int>(state.range(3));
-  Rng rng(13);
-  Tensor x(1, spec.in_channels, h, w);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = std::max(rng.normal(), 0.0f);
-  std::vector<float> weights(spec.weight_count());
-  for (float& v : weights) v = rng.normal(0.0f, 0.1f);
+  const ConvStep s =
+      conv_step(static_cast<int>(state.range(0)),
+                static_cast<int>(state.range(1)), 3,
+                static_cast<int>(state.range(2)),
+                static_cast<int>(state.range(3)));
   const QuantizedWeights qw = quantize_weights(
-      weights.data(), spec.out_channels,
-      spec.in_channels * spec.kernel * spec.kernel,
+      s.weights.data(), s.spec.out_channels,
+      s.spec.in_channels * s.spec.kernel * s.spec.kernel,
       choose_qparams(0.0f, 3.0f));
-  Tensor b(1, spec.out_channels, 1, 1);
   Tensor y;
   for (auto _ : state) {
-    conv2d_forward_int8(spec, x, qw, b, &y, /*fuse_relu=*/true);
+    conv2d_forward_int8(s.spec, s.x, qw, s.bias, &y, /*fuse_relu=*/true);
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
-  state.counters["macs"] = static_cast<double>(conv2d_macs(spec, h, w));
+  state.counters["macs"] =
+      static_cast<double>(conv2d_macs(s.spec, s.x.h(), s.x.w()));
 }
 BENCHMARK(BM_Conv2dInt8)
     ->ArgNames({"in", "out", "h", "w"})
     ->Args({3, 16, 150, 200})
     ->Args({16, 32, 75, 100});
+
+// One fp32 conv step on the packed GEMM: the two BM_Conv2dInt8 backbone
+// geometries (3x3, fused ReLU) and the cls head (48->248, 1x1, no ReLU, on
+// the 18x25 scale-600 feature map), which DFF warp frames run on every
+// frame.  Times the whole conv2d_forward call: lowering the input to
+// columns, packing panels, the micro-kernel and its fused write-out.
+void BM_Conv2dPacked(benchmark::State& state) {
+  const int kernel = static_cast<int>(state.range(2));
+  const ConvStep s =
+      conv_step(static_cast<int>(state.range(0)),
+                static_cast<int>(state.range(1)), kernel,
+                static_cast<int>(state.range(3)),
+                static_cast<int>(state.range(4)));
+  const bool relu = kernel == 3;  // backbone convs fuse ReLU, heads do not
+  Tensor y;
+  for (auto _ : state) {
+    conv2d_forward(s.spec, s.x, s.weights, s.bias, &y, relu,
+                   GemmBackend::kPacked);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["macs"] =
+      static_cast<double>(conv2d_macs(s.spec, s.x.h(), s.x.w()));
+}
+BENCHMARK(BM_Conv2dPacked)
+    ->ArgNames({"in", "out", "k", "h", "w"})
+    ->Args({3, 16, 3, 150, 200})
+    ->Args({16, 32, 3, 75, 100})
+    ->Args({48, 248, 1, 18, 25});
 
 // One 2x2 max-pool step at the scale-600 pool-1 geometry (input
 // 1x16x150x200, ReLU'd like conv1's output).  argmax:1 also records the

@@ -114,43 +114,87 @@ struct MicroTile {
 // target-attributed function so the 16-lane version uses ZMM and the 8-lane
 // version YMM registers.  Panels are 64-byte aligned (scratch arena), and
 // each k step advances a whole number of vectors, so panel loads are
-// aligned; C rows have arbitrary alignment and go through an unaligned
-// (aligned(4)) vector type.
+// aligned; C rows and the column bias have arbitrary alignment and go
+// through the unaligned (aligned(4)) twin of each vector type.
 //
 // Accumulation per C element is a strict ascending-k chain in its own lane
 // and mul/add stay separate ops (this file builds with -ffp-contract=off —
 // see CMakeLists.txt — because GCC otherwise fuses a*b+acc into FMA with
 // different rounding on ISAs that have it), so every width produces
-// bit-identical results — the dispatch never changes output.
+// bit-identical results — the dispatch never changes output.  (A NaN
+// output's sign bit follows operand order, which the bodies do not fix.)
 typedef float v16f __attribute__((vector_size(64), may_alias));
 typedef float v8f __attribute__((vector_size(32), may_alias));
 typedef float v4f __attribute__((vector_size(16), may_alias));
+typedef float v16f_u __attribute__((vector_size(64), may_alias, aligned(4)));
+typedef float v8f_u __attribute__((vector_size(32), may_alias, aligned(4)));
+typedef float v4f_u __attribute__((vector_size(16), may_alias, aligned(4)));
 
-template <typename V, int MR, int NR>
+// One body's vector pair: V for panels and accumulators, VU for C rows and
+// the column bias.  They reach micro_body inside a struct because GCC drops
+// a typedef's aligned(4) when the typedef itself is a template argument,
+// and VU would then emit aligned stores to unaligned C rows.
+struct Lanes4 { typedef v4f V; typedef v4f_u VU; };
+struct Lanes8 { typedef v8f V; typedef v8f_u VU; };
+struct Lanes16 { typedef v16f V; typedef v16f_u VU; };
+
+template <typename Lanes, int MR, int NR>
 inline __attribute__((always_inline)) void micro_body(const MicroTile& t) {
+  using V = typename Lanes::V;
+  using VU = typename Lanes::VU;
   constexpr int kLanes = static_cast<int>(sizeof(V) / sizeof(float));
   constexpr int NV = NR / kLanes;
   static_assert(NR % kLanes == 0, "tile width must be a whole vector count");
+  using VI = decltype(V{} < V{});  // the lane-mask type of a V compare
 
   V acc[MR][NV];
   for (int m = 0; m < MR; ++m)
     for (int v = 0; v < NV; ++v) acc[m][v] = V{} ;
 
+  // A enters each multiply as a scalar operand, which GCC broadcasts
+  // straight from memory (vmulps mem{1to16} on AVX-512, a memory
+  // vbroadcastss on AVX2).  Do not hoist it into `V{} + pa[m]`: 0.0f + x
+  // is not x for x = -0.0, so that is a real add GCC cannot drop, and the
+  // add plus a register broadcast then compete with the multiplies and
+  // adds for the vector ports in every k step.
   const float* pa = t.pa;
   const float* pb = t.pb;
   for (int k = 0; k < t.kc; ++k, pa += MR, pb += NR) {
     V b[NV];
     for (int v = 0; v < NV; ++v)
       b[v] = *reinterpret_cast<const V*>(pb + v * kLanes);
-    for (int m = 0; m < MR; ++m) {
-      const V a = V{} + pa[m];  // scalar broadcast
-      for (int v = 0; v < NV; ++v) acc[m][v] += a * b[v];
-    }
+    for (int m = 0; m < MR; ++m)
+      for (int v = 0; v < NV; ++v) acc[m][v] += pa[m] * b[v];
   }
 
-  // Write-out: spill the register tile to an aligned row buffer, fold the
-  // C partial / epilogue, then copy the valid prefix.  This keeps the edge
-  // handling scalar and simple; the k loop above dominates.
+  // Full-width tiles write out from the accumulator vectors: the same
+  // steps in the same order as the scalar edge path below (C partial,
+  // row bias, column bias, ReLU), one unaligned store per vector.  ReLU
+  // keeps std::max(x, 0.0f)'s rule by masking the lane bits: x < 0 gives
+  // +0.0 while -0.0 and NaN pass through.  (vmaxps would return its
+  // second operand for both.)
+  if (t.nv == NR) {
+    for (int m = 0; m < t.mv; ++m) {
+      float* crow = t.c + static_cast<std::ptrdiff_t>(m) * t.ldc;
+      for (int v = 0; v < NV; ++v) {
+        VU* dst = reinterpret_cast<VU*>(crow + v * kLanes);
+        V r = acc[m][v];
+        if (!t.first) r += *dst;
+        if (t.last) {
+          if (t.row_bias != nullptr) r += t.row_bias[m];
+          if (t.col_bias != nullptr)
+            r += *reinterpret_cast<const VU*>(t.col_bias + v * kLanes);
+          if (t.relu)
+            r = reinterpret_cast<V>(reinterpret_cast<VI>(r) & ~(r < V{}));
+        }
+        *dst = r;
+      }
+    }
+    return;
+  }
+
+  // Edge tiles (nv < NR): spill the register tile to an aligned row
+  // buffer, fold the C partial / epilogue, then copy the valid prefix.
   for (int m = 0; m < t.mv; ++m) {
     alignas(64) float row[NR];
     for (int v = 0; v < NV; ++v)
@@ -174,15 +218,17 @@ inline __attribute__((always_inline)) void micro_body(const MicroTile& t) {
 
 using MicroFn = void (*)(const MicroTile&);
 
-void micro_generic(const MicroTile& t) { micro_body<v4f, kMR, kNR>(t); }
+void micro_generic(const MicroTile& t) {
+  micro_body<Lanes4, kMR, kNR>(t);
+}
 
 #if defined(__x86_64__)
 #define ADA_GEMM_X86_DISPATCH 1
 __attribute__((target("avx2"))) void micro_avx2(const MicroTile& t) {
-  micro_body<v8f, kMR, kNR>(t);
+  micro_body<Lanes8, kMR, kNR>(t);
 }
 __attribute__((target("avx512f"))) void micro_avx512(const MicroTile& t) {
-  micro_body<v16f, kMR, kNR>(t);
+  micro_body<Lanes16, kMR, kNR>(t);
 }
 #endif
 

@@ -20,10 +20,14 @@
 // never a function of threads or input) — and the parallel split is over
 // disjoint row/column regions of C, so results are bit-identical
 // run-to-run regardless of thread count.  The packed kernel avoids FP
-// contraction (-ffp-contract=off, see CMakeLists.txt), so its results are
-// also identical across the dispatched ISAs; the two *backends* agree only
-// to rounding (tolerance-tested).  Changing kKC/kNC changes packed results
-// (within tolerance) — bump the model-cache fingerprints if you do.
+// contraction (-ffp-contract=off, see CMakeLists.txt), so every non-NaN
+// output is also identical across the dispatched ISAs.  A NaN output stays
+// NaN under every ISA, but its sign bit follows operand order, which the
+// bodies do not fix: measured over adversarial inputs, the generic, AVX2
+// and AVX-512 bodies give 0x7FC00000 and 0xFFC00000 for the same NaN
+// outputs.  The two *backends* agree only to rounding (tolerance-tested).
+// Changing kKC/kNC changes packed results (within tolerance) — bump the
+// model-cache fingerprints if you do.
 //
 // The epilogue hook fuses the bias add and ReLU into the write-out, which
 // saves a full read-modify-write pass over every activation tensor in the

@@ -1,13 +1,16 @@
 // SGEMM backend equivalence: packed vs reference across odd shapes, fused
 // vs unfused epilogue, strided (transposed) operands, accumulation, and
-// run-to-run determinism — plus conv-level agreement on the shapes the
-// tiling does not divide evenly (k=1/3, stride 2, dilation 4).
+// run-to-run determinism, the packed kernel's exact bytes against a scalar
+// oracle — plus conv-level agreement on the shapes the tiling does not
+// divide evenly (k=1/3, stride 2, dilation 4).
 #include "tensor/gemm.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "detection/detector.h"
@@ -163,6 +166,126 @@ TEST(Gemm, AccumulateAddsToExistingC) {
       EXPECT_NEAR(acc[i], base[i] + fresh[i],
                   1e-4f * std::max(1.0f, std::fabs(acc[i])));
   }
+}
+
+// ------------------------------------------------- packed kernel's bytes
+
+/// Rounds the product to float before the caller adds it.  The volatile
+/// stops the compiler from fusing a * b + acc into one FMA: this file does
+/// not build with -ffp-contract=off, gemm.cpp does.
+float rounded_product(float a, float b) {
+  volatile float p = a * b;
+  return p;
+}
+
+/// The packed kernel's per-element contract in scalar code: an
+/// ascending-k chain from +0.0 with a separate multiply and add, K split
+/// into 512-wide blocks folded into C in order, and on the last block the
+/// row bias, the column bias, then ReLU as std::max(x, 0.0f).  A is M x K
+/// and B is K x N, both dense row-major.
+void packed_oracle(int M, int N, int K, const float* A, const float* B,
+                   float* C, int ldc, bool accumulate,
+                   const GemmEpilogue& epi) {
+  constexpr int kBlock = 512;
+  for (int m = 0; m < M; ++m)
+    for (int n = 0; n < N; ++n) {
+      float& c = C[static_cast<std::ptrdiff_t>(m) * ldc + n];
+      for (int k0 = 0; k0 < K; k0 += kBlock) {
+        float acc = 0.0f;
+        for (int k = k0; k < std::min(K, k0 + kBlock); ++k)
+          acc += rounded_product(A[static_cast<std::size_t>(m) * K + k],
+                                 B[static_cast<std::size_t>(k) * N + n]);
+        c = k0 == 0 && !accumulate ? acc : acc + c;
+      }
+      if (epi.row_bias != nullptr) c += epi.row_bias[m];
+      if (epi.col_bias != nullptr) c += epi.col_bias[n];
+      if (epi.relu) c = std::max(c, 0.0f);
+    }
+}
+
+/// Mostly a normal draw; 5% of the time one of the floats a kernel rewrite
+/// most easily gets wrong: ±0.0 or a denormal, and with `poison` also ±inf
+/// or NaN.  Poison is confined to some rows and columns so that most
+/// chains stay finite and are compared bit for bit.
+float stress_value(Rng* rng, bool poison) {
+  if (!rng->chance(0.05f)) return rng->normal();
+  const float sign = rng->chance(0.5f) ? -1.0f : 1.0f;
+  switch (rng->next_below(poison ? 5 : 2)) {
+    case 0: return sign * 0.0f;
+    case 1:
+      return sign * std::numeric_limits<float>::denorm_min() *
+             static_cast<float>(rng->uniform_int(1, 1 << 20));
+    case 2: return sign * std::numeric_limits<float>::infinity();
+    default: return std::numeric_limits<float>::quiet_NaN();
+  }
+}
+
+/// Compares the packed kernel with the oracle on every float of C's
+/// buffer: bits where the oracle is not NaN, isnan where it is (the
+/// micro-kernel bodies do not fix a NaN's sign).  Returns the first
+/// mismatch, or an empty string.
+std::string first_mismatch(const std::vector<float>& got,
+                           const std::vector<float>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const bool same = std::isnan(want[i])
+                          ? std::isnan(got[i])
+                          : std::memcmp(&got[i], &want[i], sizeof(float)) == 0;
+    if (!same)
+      return "buffer index " + std::to_string(i) + ": got " +
+             std::to_string(got[i]) + ", want " + std::to_string(want[i]);
+  }
+  return "";
+}
+
+TEST(Gemm, PackedMatchesScalarOracleBitwise) {
+  Rng rng(43);
+  for (const int M : {1, 5, 6, 7, 13})
+    for (const int N : {1, 15, 16, 17, 33})
+      for (const int K : {1, 27, 513}) {
+        std::vector<float> A(static_cast<std::size_t>(M) * K);
+        for (int m = 0; m < M; ++m)
+          for (int k = 0; k < K; ++k)
+            A[static_cast<std::size_t>(m) * K + k] =
+                stress_value(&rng, m % 4 == 3);
+        std::vector<float> B(static_cast<std::size_t>(K) * N);
+        for (int k = 0; k < K; ++k)
+          for (int n = 0; n < N; ++n)
+            B[static_cast<std::size_t>(k) * N + n] =
+                stress_value(&rng, n % 5 == 4);
+        std::vector<float> row_bias(static_cast<std::size_t>(M));
+        for (float& v : row_bias) v = stress_value(&rng, true);
+        std::vector<float> col_bias(static_cast<std::size_t>(N));
+        for (float& v : col_bias) v = stress_value(&rng, true);
+        // C sits at an odd float offset with three floats of gap per row;
+        // the gaps and the floats past the last row must stay untouched.
+        const int ldc = N + 3;
+        std::vector<float> initial(
+            1 + static_cast<std::size_t>(M) * ldc + 5);
+        for (float& v : initial) v = stress_value(&rng, true);
+
+        for (const bool accumulate : {false, true})
+          for (const bool use_row : {false, true})
+            for (const bool use_col : {false, true})
+              for (const bool relu : {false, true}) {
+                GemmEpilogue epi;
+                epi.row_bias = use_row ? row_bias.data() : nullptr;
+                epi.col_bias = use_col ? col_bias.data() : nullptr;
+                epi.relu = relu;
+                std::vector<float> want = initial;
+                packed_oracle(M, N, K, A.data(), B.data(), want.data() + 1,
+                              ldc, accumulate, epi);
+                std::vector<float> got = initial;
+                sgemm(M, N, K, GemmMat{A.data(), K, 1},
+                      GemmMat{B.data(), N, 1}, got.data() + 1, ldc,
+                      accumulate, epi, GemmBackend::kPacked);
+                const std::string diff = first_mismatch(got, want);
+                ASSERT_TRUE(diff.empty())
+                    << gemm_kernel_isa() << " M=" << M << " N=" << N
+                    << " K=" << K << " accumulate=" << accumulate
+                    << " row_bias=" << use_row << " col_bias=" << use_col
+                    << " relu=" << relu << ": " << diff;
+              }
+      }
 }
 
 // ------------------------------------------------------------- conv level
