@@ -164,9 +164,10 @@ struct ConvStep {
   Tensor bias;
 };
 
-ConvStep conv_step(int in, int out, int kernel, int h, int w) {
+ConvStep conv_step(int in, int out, int kernel, int h, int w,
+                   int dilation = 1) {
   ConvStep s;
-  s.spec = ConvSpec{in, out, kernel, 1, kernel / 2};
+  s.spec = ConvSpec{in, out, kernel, 1, dilation * (kernel / 2), dilation};
   Rng rng(13);
   s.x = Tensor(1, in, h, w);
   for (std::size_t i = 0; i < s.x.size(); ++i)
@@ -207,18 +208,20 @@ BENCHMARK(BM_Conv2dInt8)
     ->Args({3, 16, 150, 200})
     ->Args({16, 32, 75, 100});
 
-// One fp32 conv step on the packed GEMM: the two BM_Conv2dInt8 backbone
-// geometries (3x3, fused ReLU) and the cls head (48->248, 1x1, no ReLU, on
-// the 18x25 scale-600 feature map), which DFF warp frames run on every
-// frame.  Times the whole conv2d_forward call: lowering the input to
-// columns, packing panels, the micro-kernel and its fused write-out.
+// One fp32 conv step on the packed micro-kernel: the two BM_Conv2dInt8
+// backbone geometries (3x3, fused ReLU), conv4 (48->48, 3x3, dilation 4,
+// pad 4, fused ReLU, on the 18x25 scale-600 feature map) and the cls head
+// (48->248, 1x1, no ReLU, same map), which DFF warp frames run on every
+// frame.  Times the whole conv2d_forward call: the zero-padded input copy,
+// packing A, the micro-kernel reading B in place and its fused write-out.
 void BM_Conv2dPacked(benchmark::State& state) {
   const int kernel = static_cast<int>(state.range(2));
   const ConvStep s =
       conv_step(static_cast<int>(state.range(0)),
                 static_cast<int>(state.range(1)), kernel,
                 static_cast<int>(state.range(3)),
-                static_cast<int>(state.range(4)));
+                static_cast<int>(state.range(4)),
+                static_cast<int>(state.range(5)));
   const bool relu = kernel == 3;  // backbone convs fuse ReLU, heads do not
   Tensor y;
   for (auto _ : state) {
@@ -231,10 +234,11 @@ void BM_Conv2dPacked(benchmark::State& state) {
       static_cast<double>(conv2d_macs(s.spec, s.x.h(), s.x.w()));
 }
 BENCHMARK(BM_Conv2dPacked)
-    ->ArgNames({"in", "out", "k", "h", "w"})
-    ->Args({3, 16, 3, 150, 200})
-    ->Args({16, 32, 3, 75, 100})
-    ->Args({48, 248, 1, 18, 25});
+    ->ArgNames({"in", "out", "k", "h", "w", "d"})
+    ->Args({3, 16, 3, 150, 200, 1})
+    ->Args({16, 32, 3, 75, 100, 1})
+    ->Args({48, 48, 3, 18, 25, 4})
+    ->Args({48, 248, 1, 18, 25, 1});
 
 // One 2x2 max-pool step at the scale-600 pool-1 geometry (input
 // 1x16x150x200, ReLU'd like conv1's output).  argmax:1 also records the

@@ -159,6 +159,10 @@ void AdaScalePipeline::refresh_key(const Scene& frame, Tensor image,
       out->regressor_ms = m->reg()->last_predict_ms();
     }
   }
+  // The forward above already ran the heads on the detector's own
+  // features; a backend's features still need them.
+  const Tensor& head_input =
+      backend != nullptr ? st.key_features : m->det()->features();
 
   st.key_gray = Tensor();
   bilinear_resize(gray, st.key_features.h(), st.key_features.w(),
@@ -168,12 +172,11 @@ void AdaScalePipeline::refresh_key(const Scene& frame, Tensor image,
   st.acc_flow_x = Tensor();
 
   // Heads + decode run on the stream's own detector in BOTH execution modes
-  // (the cached features, not the backend's decode, are the input), which
-  // is what makes batched serving bit-identical to serial regardless of
-  // batch composition.
+  // (the key features, not the backend's decode, are the input), through
+  // the same plan steps, which is what makes batched serving bit-identical
+  // to serial regardless of batch composition.
   Timer head_timer;
-  out->detections =
-      m->det()->detect_from_features(st.key_features, img_h, img_w);
+  out->detections = m->det()->detect_from_features(head_input, img_h, img_w);
   out->detect_ms += head_timer.elapsed_ms();
 
   if (dff_.adascale) {

@@ -106,7 +106,8 @@ const ExecutionPlan& Detector::plan_for(int n, int img_h, int img_w) {
     PlanShape shape = plan.input;
     backbone_.plan_forward(&shape, &plan);
     // Both heads read the backbone output; plan them on copies of the
-    // feature shape in the order forward() runs them.
+    // feature shape in the order forward() runs them.  They are the last
+    // two steps, which detect_from_features runs on external features.
     PlanShape cls_in = shape;
     cls_head_.plan_forward(&cls_in, &plan);
     PlanShape reg_in = shape;
@@ -262,10 +263,15 @@ DetectionOutput Detector::decode_image(int n, int image_h, int image_w,
 DetectionOutput Detector::detect_from_features(const Tensor& features,
                                                int image_h, int image_w) {
   Timer timer;
-  // If called externally (DFF path), recompute heads on given features.
+  // External features (a DFF warp, or a key frame's features handed back
+  // by a backend): run the heads on them through the head steps of this
+  // image size's plan, the kernels forward() would run.
   if (&features != &features_) {
-    cls_head_.forward(features, &heads_.cls);
-    reg_head_.forward(features, &heads_.reg);
+    const ExecutionPlan& plan = plan_for(features.n(), image_h, image_w);
+    scratch_arena().reserve(plan.arena_floats);
+    PlanCursor pc(&plan, plan.steps.size() - 2);
+    cls_head_.forward_planned(features, &heads_.cls, &pc);
+    reg_head_.forward_planned(features, &heads_.reg, &pc);
   }
   const std::vector<Box> anchors =
       generate_anchors(cfg_.anchors, heads_.cls.h(), heads_.cls.w());

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 
-#include "util/timer.h"
+#include "runtime/thread_pool.h"
+#include "util/clock.h"
 
 namespace ada {
 
@@ -47,24 +49,34 @@ std::map<std::string, AutotuneChoice>& tune_cache() {
 
 std::atomic<AutotuneBenchFn> g_bench{nullptr};
 
-/// Default bench: one warmup call (first-touch pages, kernel-dispatch
-/// statics), then repeat inside one Timer window until the sample is long
-/// enough (≥ 2 ms) to trust millisecond-resolution wall time, capped at
-/// 64 reps so tiny head GEMMs stay cheap to measure.
 double default_autotune_bench(const std::function<void()>& run) {
-  run();
-  Timer t;
-  int reps = 0;
-  double elapsed_ms;
-  do {
-    run();
-    ++reps;
-    elapsed_ms = t.elapsed_ms();
-  } while (elapsed_ms < 2.0 && reps < 64);
-  return elapsed_ms * 1e6 / static_cast<double>(reps);
+  return autotune_bench_windows(run, WallClock{});
 }
 
 }  // namespace
+
+double autotune_bench_windows(const std::function<void()>& run,
+                              const Clock& clock) {
+  constexpr double kWindowMs = 0.25;
+  constexpr double kBudgetMs = 2.0;
+  constexpr int kMinWindows = 3;
+  run();  // warmup: first-touch pages, kernel-dispatch statics
+  const double start_ms = clock.now_ms();
+  double best_ns = std::numeric_limits<double>::infinity();
+  for (int windows = 1;; ++windows) {
+    const double window_start_ms = clock.now_ms();
+    int reps = 0;
+    double window_ms = 0.0;
+    do {
+      run();
+      ++reps;
+      window_ms = clock.now_ms() - window_start_ms;
+    } while (window_ms < kWindowMs);
+    best_ns = std::min(best_ns, window_ms * 1e6 / static_cast<double>(reps));
+    if (windows >= kMinWindows && clock.now_ms() - start_ms >= kBudgetMs)
+      return best_ns;
+  }
+}
 
 void set_autotune_bench(AutotuneBenchFn fn) {
   g_bench.store(fn, std::memory_order_relaxed);
@@ -83,8 +95,11 @@ const AutotuneChoice& autotune_choice(const std::string& key,
   AutotuneBenchFn bench = g_bench.load(std::memory_order_relaxed);
   if (bench == nullptr) bench = default_autotune_bench;
   AutotuneChoice c;
-  c.int8_ns = bench(run_int8);
-  c.fp32_ns = bench(run_fp32);
+  {
+    InlineKernelScope serving_width;
+    c.int8_ns = bench(run_int8);
+    c.fp32_ns = bench(run_fp32);
+  }
   c.kernel =
       c.int8_ns <= c.fp32_ns ? KernelKind::kInt8 : KernelKind::kGemmPacked;
   return cache.emplace(key, c).first->second;

@@ -46,6 +46,8 @@
 
 namespace ada {
 
+class Clock;
+
 /// Which kernel a planned layer step runs.  kNone marks layers with no
 /// kernel choice (pooling, activation, reshape).
 enum class KernelKind { kNone, kGemmReference, kGemmPacked, kInt8 };
@@ -131,12 +133,20 @@ struct AutotuneChoice {
 };
 
 /// Bench seam: times one already-constructed candidate closure and
-/// returns ns per run.  The default implementation runs a warmup call and
-/// then repeats the closure inside a Timer window long enough to trust
-/// millisecond-resolution wall time (util/timer.h — timing flows through
-/// the clock seam).  Tests inject a deterministic fake so fallback
-/// decisions are reproducible on any machine.
+/// returns ns per run.  The default is autotune_bench_windows on a
+/// WallClock.  Tests inject a deterministic fake so fallback decisions are
+/// reproducible on any machine.
 using AutotuneBenchFn = double (*)(const std::function<void()>& run);
+
+/// The default race bench, reading `clock`: one warmup run, then windows
+/// of back-to-back runs, each at least 0.25 ms long, until at least three
+/// windows and 2 ms in all have passed.  Returns the fastest window's ns
+/// per run.  A host spike inflates only the window it lands in, so it
+/// cannot hand a layer to a kernel that is steadily slower, as it can the
+/// mean of one window.  `run` must advance `clock` (a ManualClock moves
+/// only when told to).
+double autotune_bench_windows(const std::function<void()>& run,
+                              const Clock& clock);
 
 /// Installs a bench override (nullptr restores the default).  Setup-time
 /// only: concurrent plan builds read it racily but benignly.
@@ -145,9 +155,13 @@ void set_autotune_bench(AutotuneBenchFn fn);
 /// The memoized measured winner for `key` (layer type + geometry, batch
 /// size EXCLUDED — see file comment).  On a cache miss, times run_int8
 /// then run_fp32 under the bench seam and records the faster kernel; on a
-/// hit, the closures are not invoked.  Thread-safe; the returned reference
-/// stays valid for the process lifetime (map nodes never relocate and
-/// clear_autotune_cache is a test/setup-time operation).
+/// hit, the closures are not invoked.  The race runs under an
+/// InlineKernelScope (runtime/thread_pool.h): every kernel runs on the
+/// calling thread, as table serving runs them once its workers cover the
+/// cores, so the race times the width the kernels are served at.
+/// Thread-safe; the returned reference stays valid for the process
+/// lifetime (map nodes never relocate and clear_autotune_cache is a
+/// test/setup-time operation).
 const AutotuneChoice& autotune_choice(const std::string& key,
                                       const std::function<void()>& run_int8,
                                       const std::function<void()>& run_fp32);
@@ -162,10 +176,13 @@ std::size_t autotune_cache_size();
 
 /// Walking cursor over a plan during a planned forward.  Each leaf layer
 /// takes exactly one step; the order-by-construction contract makes this a
-/// bare index.
+/// bare index.  A cursor may start past the first step, to run the tail of
+/// a plan on an intermediate tensor (Detector's heads on external
+/// features).
 class PlanCursor {
  public:
-  explicit PlanCursor(const ExecutionPlan* plan) : plan_(plan) {}
+  explicit PlanCursor(const ExecutionPlan* plan, std::size_t first = 0)
+      : plan_(plan), next_(first) {}
 
   /// The next step, advancing the cursor.  Walking past the end means the
   /// plan was built for a different layer stack — a programming error.

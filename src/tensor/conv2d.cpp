@@ -22,8 +22,9 @@ namespace {
 /// whole batch lowers onto a single GEMM.  Only pad-clipped edge cells are
 /// filled with `pad` — the interior is written exactly once (memcpy rows for
 /// stride 1), instead of filling the whole buffer and overwriting it.  The
-/// fp32 paths lower floats with pad 0.0f; the int8 path lowers its quantized
-/// input bytes with the byte a zero float quantizes to.
+/// fp32 paths (strided or reference forwards, backward) lower floats with
+/// pad 0.0f; the int8 path lowers its quantized input bytes with the byte a
+/// zero float quantizes to.
 template <typename T>
 void im2col(const T* image, int h, int w, const ConvSpec& s, int oh, int ow,
             T* cols, std::ptrdiff_t ld, T pad) {
@@ -112,46 +113,25 @@ void conv2d_forward(const ConvSpec& spec, const Tensor& x, const Tensor& w,
   epi.relu = fuse_relu;
   const GemmMat wmat{w.data(), patch, 1};
 
-  ScratchFrame frame(&scratch_arena());
-  if (batch == 1) {
-    // Single image: GEMM writes straight into y (already NCHW-contiguous).
-    float* cols = frame.alloc(static_cast<std::size_t>(patch) * cells);
-    im2col(x.data(), x.h(), x.w(), spec, oh, ow, cols, cells, 0.0f);
-    sgemm(spec.out_channels, cells, patch, wmat, GemmMat{cols, cells, 1},
-          y->data(), cells, /*accumulate=*/false, epi, backend);
-    return;
-  }
-
-  // Batch: the images' column blocks sit side by side along the GEMM N axis
-  // (one sgemm for the whole batch — larger M·N·K shapes are exactly where
-  // the packed backend earns its arithmetic intensity), then the oc-major
-  // product rows are scattered back to NCHW.  Each C element keeps the same
-  // ascending-k accumulation chain as the single-image GEMM, so batched
+  // Stride 1 on the packed backend: the micro-kernel reads each image's
+  // input in place and writes its NCHW block of y, so no column matrix is
+  // built.  Each C element keeps im2col + sgemm's chain, so batched
   // outputs are bit-identical to per-image forwards.
-  const std::size_t total = static_cast<std::size_t>(batch) * cells;
-  float* cols = frame.alloc(static_cast<std::size_t>(patch) * total);
-  parallel_for(batch, 1, [&](std::int64_t nb, std::int64_t ne) {
-    for (std::int64_t n = nb; n < ne; ++n)
-      im2col(x.data() + static_cast<std::size_t>(n) * x.image_size(), x.h(),
-             x.w(), spec, oh, ow, cols + static_cast<std::size_t>(n) * cells,
-             static_cast<std::ptrdiff_t>(total), 0.0f);
-  });
-  float* ybuf = frame.alloc(static_cast<std::size_t>(spec.out_channels) * total);
-  sgemm(spec.out_channels, static_cast<int>(total), patch, wmat,
-        GemmMat{cols, static_cast<std::ptrdiff_t>(total), 1}, ybuf,
-        static_cast<int>(total), /*accumulate=*/false, epi, backend);
-  // ybuf row oc holds [img0 cells | img1 cells | ...]; y wants image-major.
-  parallel_for(static_cast<std::int64_t>(batch) * spec.out_channels, 1,
-               [&](std::int64_t rb, std::int64_t re) {
-    for (std::int64_t r = rb; r < re; ++r) {
-      const std::int64_t n = r / spec.out_channels;
-      const std::int64_t oc = r % spec.out_channels;
-      std::memcpy(y->data() + static_cast<std::size_t>(r) * cells,
-                  ybuf + static_cast<std::size_t>(oc) * total +
-                      static_cast<std::size_t>(n) * cells,
-                  static_cast<std::size_t>(cells) * sizeof(float));
-    }
-  });
+  if (spec.stride == 1 && sconv_direct(spec, wmat, x.data(), batch, x.h(),
+                                       x.w(), y->data(), epi, backend))
+    return;
+
+  // Otherwise (the reference oracle, or a strided conv) lower each image
+  // to columns and run one sgemm straight into its NCHW block of y.
+  ScratchFrame frame(&scratch_arena());
+  float* cols = frame.alloc(static_cast<std::size_t>(patch) * cells);
+  for (int n = 0; n < batch; ++n) {
+    im2col(x.data() + static_cast<std::size_t>(n) * x.image_size(), x.h(),
+           x.w(), spec, oh, ow, cols, cells, 0.0f);
+    sgemm(spec.out_channels, cells, patch, wmat, GemmMat{cols, cells, 1},
+          y->data() + static_cast<std::size_t>(n) * y->image_size(), cells,
+          /*accumulate=*/false, epi, backend);
+  }
 }
 
 void conv2d_forward_int8(const ConvSpec& spec, const Tensor& x,
@@ -193,8 +173,8 @@ void conv2d_forward_int8(const ConvSpec& spec, const Tensor& x,
   }
 
   // Batch: images side by side along the GEMM N axis, then the oc-major
-  // product scattered back to NCHW — identical structure to the fp32
-  // batched path, so the batch scheduler composes with INT8 unchanged.
+  // product scattered back to NCHW; integer accumulation is exact, so the
+  // batch scheduler composes with INT8 unchanged.
   const std::size_t total = static_cast<std::size_t>(batch) * cells;
   std::uint8_t* cols =
       frame.alloc_as<std::uint8_t>(static_cast<std::size_t>(patch) * total);
@@ -299,32 +279,37 @@ std::size_t conv2d_forward_workspace_floats(const ConvSpec& spec, int n,
   const std::size_t images = static_cast<std::size_t>(std::max(n, 1));
   const std::size_t cells = static_cast<std::size_t>(spec.out_dim(in_h)) *
                             static_cast<std::size_t>(spec.out_dim(in_w));
-  const std::size_t total = images * cells;
-  // The column matrix holds floats, or bytes on the int8 path.
-  const std::size_t col_elems = static_cast<std::size_t>(patch) * total;
-  std::size_t ws = kernel == KernelKind::kInt8 ? byte_lines(col_elems)
-                                               : lines(col_elems);
-  if (n > 1)  // batched path stages the oc-major product before scattering
-    ws += lines(static_cast<std::size_t>(spec.out_channels) * total);
-  const int N = static_cast<int>(total);
+  const int N = static_cast<int>(cells);
   switch (kernel) {
-    case KernelKind::kInt8:
-      // The quantized input, then qgemm_u8's panels.
-      ws += byte_lines(images * static_cast<std::size_t>(spec.in_channels) *
-                       static_cast<std::size_t>(in_h) *
-                       static_cast<std::size_t>(in_w)) +
-            qgemm_u8_workspace_floats(spec.out_channels, N, patch);
-      break;
+    case KernelKind::kInt8: {
+      // The quantized input, the byte columns of the whole batch, the
+      // batched path's oc-major staging, then qgemm_u8's panels.
+      const std::size_t total = images * cells;
+      std::size_t ws =
+          byte_lines(images * static_cast<std::size_t>(spec.in_channels) *
+                     static_cast<std::size_t>(in_h) *
+                     static_cast<std::size_t>(in_w)) +
+          byte_lines(static_cast<std::size_t>(patch) * total) +
+          qgemm_u8_workspace_floats(spec.out_channels, static_cast<int>(total),
+                                    patch);
+      if (n > 1)
+        ws += lines(static_cast<std::size_t>(spec.out_channels) * total);
+      return ws;
+    }
     case KernelKind::kGemmReference:
-      ws += sgemm_workspace_floats(spec.out_channels, N, patch,
-                                   GemmBackend::kReference);
-      break;
+      // One image's columns; the reference sgemm packs nothing.
+      return lines(static_cast<std::size_t>(patch) * cells) +
+             sgemm_workspace_floats(spec.out_channels, N, patch,
+                                    GemmBackend::kReference);
     default:
-      ws += sgemm_workspace_floats(spec.out_channels, N, patch,
-                                   GemmBackend::kPacked);
-      break;
+      // The direct path pads every image up front; the im2col fallback
+      // reuses one image's columns and panels for every image.
+      if (spec.stride == 1)
+        return sconv_direct_workspace_floats(spec, n, in_h, in_w);
+      return lines(static_cast<std::size_t>(patch) * cells) +
+             sgemm_workspace_floats(spec.out_channels, N, patch,
+                                    GemmBackend::kPacked);
   }
-  return ws;
 }
 
 }  // namespace ada

@@ -1,8 +1,11 @@
-// 2-D convolution via im2col + the packed SGEMM backend (tensor/gemm.h) or
-// the int8 qgemm_u8 (tensor/qgemm.h), with full backward (input gradient,
-// weight gradient, bias gradient).
-// Column and packing workspaces live in the thread-local scratch arena
-// (runtime/scratch.h), so steady-state calls do not touch the allocator.
+// 2-D convolution on the fp32 GEMM backends (tensor/gemm.h) or the int8
+// qgemm_u8 (tensor/qgemm.h), with full backward (input gradient, weight
+// gradient, bias gradient).  A stride-1 packed forward reads its input in
+// place through sconv_direct; strided and reference forwards, the int8
+// forward and the backward pass lower through im2col.
+// Padded-input, column and packing workspaces live in the thread-local
+// scratch arena (runtime/scratch.h), so steady-state calls do not touch
+// the allocator.
 //
 // This single kernel carries the backbone, the detection heads, and the
 // AdaScale regressor streams, so correctness is verified by numerical
@@ -40,15 +43,18 @@ struct ConvSpec {
   }
 };
 
-/// y = conv(x, w) + b.  x is (N, in_c, H, W) — N > 1 lowers the whole batch
-/// onto a single sgemm call (the images' im2col column blocks concatenated
-/// along the GEMM N axis), bit-identical to running the images one at a
-/// time.  w is (out_c, in_c, k, k); b is (1, out_c, 1, 1) and may be empty
-/// (no bias).  y is resized as needed.  With fuse_relu the ReLU is applied
-/// inside the GEMM write-out (y = max(conv(x,w)+b, 0)), bit-identical to
-/// applying it afterwards but without the extra pass.  `backend` picks the
-/// fp32 GEMM (kDefault resolves the process default; planned forwards pass
-/// the backend their ExecutionPlan resolved).
+/// y = conv(x, w) + b.  x is (N, in_c, H, W); each image is written
+/// straight into its NCHW block of y.  w is (out_c, in_c, k, k);
+/// b is (1, out_c, 1, 1) and may be empty (no bias).  y is resized as
+/// needed.  With fuse_relu the ReLU is applied inside the GEMM write-out
+/// (y = max(conv(x,w)+b, 0)), bit-identical to applying it afterwards but
+/// without the extra pass.  `backend` picks the fp32 GEMM (kDefault
+/// resolves the process default; planned forwards pass the backend their
+/// ExecutionPlan resolved).  On the packed backend a stride-1 conv runs
+/// sconv_direct, which reads zero-padded copies of the images in place
+/// instead of building im2col columns and splits the whole batch's tiles
+/// across the pool, with the same bytes (tests/conv2d_test.cpp); other
+/// forwards lower and multiply one image at a time.
 void conv2d_forward(const ConvSpec& spec, const Tensor& x, const Tensor& w,
                     const Tensor& b, Tensor* y, bool fuse_relu = false,
                     GemmBackend backend = GemmBackend::kDefault);
@@ -78,9 +84,10 @@ void conv2d_backward(const ConvSpec& spec, const Tensor& x, const Tensor& w,
 long long conv2d_macs(const ConvSpec& spec, int in_h, int in_w);
 
 /// Scratch-arena floats one conv2d_forward / conv2d_forward_int8 call with
-/// this geometry and kernel choice claims on the calling thread (the int8
-/// path's quantized input, the im2col columns — bytes for int8 — the
-/// batched-output staging buffer, and the underlying GEMM's packing
+/// this geometry and kernel choice claims on the calling thread (a stride-1
+/// packed conv's padded images, offset table and A panels; otherwise the
+/// int8 path's quantized input, the im2col columns — bytes for int8 — the
+/// int8 batched-output staging buffer, and the underlying GEMM's packing
 /// panels).  Execution plans record this per layer so the arena can be
 /// pre-sized once to the exact steady-state peak.
 std::size_t conv2d_forward_workspace_floats(const ConvSpec& spec, int n,

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "runtime/scratch.h"
 #include "runtime/thread_pool.h"
+#include "tensor/conv2d.h"
 
 namespace ada {
 
@@ -95,7 +97,11 @@ constexpr int kNC = 1024;
 
 struct MicroTile {
   const float* pa;  ///< packed A panel: kc steps of MR floats, k-major
-  const float* pb;  ///< packed B panel: kc steps of NR floats, k-major
+  /// Packed bodies: a B panel of kc steps of NR floats, k-major.  Direct
+  /// bodies: the tile's origin in the zero-padded conv input, whose k-th B
+  /// row starts at pb + boff[k].
+  const float* pb;
+  const std::ptrdiff_t* boff;  ///< direct bodies only: per-k B row offsets
   float* c;         ///< top-left of the C tile
   int ldc;
   int kc;
@@ -114,8 +120,9 @@ struct MicroTile {
 // target-attributed function so the 16-lane version uses ZMM and the 8-lane
 // version YMM registers.  Panels are 64-byte aligned (scratch arena), and
 // each k step advances a whole number of vectors, so panel loads are
-// aligned; C rows and the column bias have arbitrary alignment and go
-// through the unaligned (aligned(4)) twin of each vector type.
+// aligned; C rows, the column bias and B rows read in place have arbitrary
+// alignment and go through the unaligned (aligned(4)) twin of each vector
+// type.
 //
 // Accumulation per C element is a strict ascending-k chain in its own lane
 // and mul/add stay separate ops (this file builds with -ffp-contract=off —
@@ -130,15 +137,20 @@ typedef float v16f_u __attribute__((vector_size(64), may_alias, aligned(4)));
 typedef float v8f_u __attribute__((vector_size(32), may_alias, aligned(4)));
 typedef float v4f_u __attribute__((vector_size(16), may_alias, aligned(4)));
 
-// One body's vector pair: V for panels and accumulators, VU for C rows and
-// the column bias.  They reach micro_body inside a struct because GCC drops
-// a typedef's aligned(4) when the typedef itself is a template argument,
-// and VU would then emit aligned stores to unaligned C rows.
+// One body's vector pair: V for panels and accumulators, VU for C rows, the
+// column bias and B rows read in place.  They reach micro_body inside a
+// struct because GCC drops a typedef's aligned(4) when the typedef itself
+// is a template argument, and VU would then emit aligned stores to
+// unaligned C rows.
 struct Lanes4 { typedef v4f V; typedef v4f_u VU; };
 struct Lanes8 { typedef v8f V; typedef v8f_u VU; };
 struct Lanes16 { typedef v16f V; typedef v16f_u VU; };
 
-template <typename Lanes, int MR, int NR>
+// kDirect picks where the k-th B row comes from, the only difference
+// between the packed and the direct bodies: the packed panel's aligned
+// k-th step, or an unaligned NR-float row at t.pb + t.boff[k] in the
+// zero-padded input of a stride-1 conv (sconv_direct below).
+template <typename Lanes, int MR, int NR, bool kDirect>
 inline __attribute__((always_inline)) void micro_body(const MicroTile& t) {
   using V = typename Lanes::V;
   using VU = typename Lanes::VU;
@@ -159,10 +171,17 @@ inline __attribute__((always_inline)) void micro_body(const MicroTile& t) {
   // adds for the vector ports in every k step.
   const float* pa = t.pa;
   const float* pb = t.pb;
-  for (int k = 0; k < t.kc; ++k, pa += MR, pb += NR) {
+  for (int k = 0; k < t.kc; ++k, pa += MR) {
     V b[NV];
-    for (int v = 0; v < NV; ++v)
-      b[v] = *reinterpret_cast<const V*>(pb + v * kLanes);
+    if constexpr (kDirect) {
+      const float* brow = pb + t.boff[k];
+      for (int v = 0; v < NV; ++v)
+        b[v] = *reinterpret_cast<const VU*>(brow + v * kLanes);
+    } else {
+      for (int v = 0; v < NV; ++v)
+        b[v] = *reinterpret_cast<const V*>(pb + v * kLanes);
+      pb += NR;
+    }
     for (int m = 0; m < MR; ++m)
       for (int v = 0; v < NV; ++v) acc[m][v] += pa[m] * b[v];
   }
@@ -218,32 +237,38 @@ inline __attribute__((always_inline)) void micro_body(const MicroTile& t) {
 
 using MicroFn = void (*)(const MicroTile&);
 
+template <bool kDirect>
 void micro_generic(const MicroTile& t) {
-  micro_body<Lanes4, kMR, kNR>(t);
+  micro_body<Lanes4, kMR, kNR, kDirect>(t);
 }
 
 #if defined(__x86_64__)
 #define ADA_GEMM_X86_DISPATCH 1
+template <bool kDirect>
 __attribute__((target("avx2"))) void micro_avx2(const MicroTile& t) {
-  micro_body<Lanes8, kMR, kNR>(t);
+  micro_body<Lanes8, kMR, kNR, kDirect>(t);
 }
+template <bool kDirect>
 __attribute__((target("avx512f"))) void micro_avx512(const MicroTile& t) {
-  micro_body<Lanes16, kMR, kNR>(t);
+  micro_body<Lanes16, kMR, kNR, kDirect>(t);
 }
 #endif
 
 #else  // no vector extensions: plain scalar body, still correct
 using MicroFn = void (*)(const MicroTile&);
 
+template <bool kDirect>
 void micro_generic(const MicroTile& t) {
   float acc[kMR][kNR] = {};
   const float* pa = t.pa;
-  const float* pb = t.pb;
-  for (int k = 0; k < t.kc; ++k, pa += kMR, pb += kNR)
+  for (int k = 0; k < t.kc; ++k, pa += kMR) {
+    const float* brow = kDirect ? t.pb + t.boff[k]
+                                : t.pb + static_cast<std::ptrdiff_t>(k) * kNR;
     for (int m = 0; m < kMR; ++m) {
       const float a = pa[m];
-      for (int j = 0; j < kNR; ++j) acc[m][j] += a * pb[j];
+      for (int j = 0; j < kNR; ++j) acc[m][j] += a * brow[j];
     }
+  }
   for (int m = 0; m < t.mv; ++m) {
     float* crow = t.c + static_cast<std::ptrdiff_t>(m) * t.ldc;
     float* row = acc[m];
@@ -263,7 +288,8 @@ void micro_generic(const MicroTile& t) {
 #endif
 
 struct MicroDispatch {
-  MicroFn fn;
+  MicroFn fn;      ///< B from packed panels (sgemm)
+  MicroFn direct;  ///< B rows read in place (sconv_direct)
   const char* isa;
 };
 
@@ -272,14 +298,14 @@ MicroDispatch pick_micro() {
   switch (kernel_isa_cap()) {
     case KernelIsa::kVnni:  // fp32 has no VNNI kernel; vpdpbusd is int-only
     case KernelIsa::kAvx512:
-      return {micro_avx512, "avx512"};
+      return {micro_avx512<false>, micro_avx512<true>, "avx512"};
     case KernelIsa::kAvx2:
-      return {micro_avx2, "avx2"};
+      return {micro_avx2<false>, micro_avx2<true>, "avx2"};
     default:
       break;
   }
 #endif
-  return {micro_generic, "generic"};
+  return {micro_generic<false>, micro_generic<true>, "generic"};
 }
 
 const MicroDispatch& micro_dispatch() {
@@ -319,6 +345,13 @@ void pack_b(const GemmMat& B, int k0, int kc, int j0, int nc, float* pb) {
 
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
+/// A request of `floats` rounded to whole cache lines, the way
+/// ScratchArena::alloc rounds: what the *_workspace_floats counts add up.
+std::size_t arena_lines(std::size_t floats) {
+  constexpr std::size_t kLine = 64 / sizeof(float);
+  return (std::max<std::size_t>(floats, 1) + kLine - 1) / kLine * kLine;
+}
+
 // ------------------------------------------------------------- packed sgemm
 
 /// Runs every micro-tile of one column stripe [j0, j0+nc) for one K block.
@@ -333,6 +366,7 @@ void run_stripe_block(MicroFn micro, int M, int kc, const float* pa,
       MicroTile t;
       t.pa = pa + static_cast<std::size_t>(i0 / kMR) * a_panel;
       t.pb = panel_b;
+      t.boff = nullptr;
       t.c = C + static_cast<std::ptrdiff_t>(i0) * ldc + j0 + jr;
       t.ldc = ldc;
       t.kc = kc;
@@ -410,6 +444,7 @@ void sgemm_packed(int M, int N, int K, const GemmMat& A, const GemmMat& B,
           MicroTile t;
           t.pa = pa + static_cast<std::size_t>(ip) * a_panel;
           t.pb = pb + static_cast<std::size_t>(jr / kNR) * b_panel;
+          t.boff = nullptr;
           t.c = C + static_cast<std::ptrdiff_t>(ip) * kMR * ldc + jr;
           t.ldc = ldc;
           t.kc = kc;
@@ -426,6 +461,154 @@ void sgemm_packed(int M, int N, int K, const GemmMat& A, const GemmMat& B,
       }
     });
   }
+}
+
+// ------------------------------------------------- direct stride-1 conv
+
+/// How sconv_direct lays out one conv over an h x w input.  The zero-padded
+/// input copy holds one hp x wp plane per input channel, input (r, c) at
+/// (r + pad, c + pad).  The (k-1)*dilation extra rows and columns hold
+/// every tap of the last output row and column, and the columns are rounded
+/// up to whole 16-lane tiles, so a partial last tile still loads NR floats
+/// inside its row.
+struct DirectLayout {
+  /// The input as tiled.  A 1x1 unpadded conv is the same conv over one
+  /// row of h*w pixels, whose tiles run over the output cells in order, as
+  /// sgemm's do, instead of ending every short row in a partial tile.
+  int h, w;
+  int oh, ow;
+  int hp, wp;
+  std::size_t plane;  ///< hp * wp floats
+};
+
+DirectLayout direct_layout(const ConvSpec& s, int h, int w) {
+  DirectLayout d;
+  d.h = h;
+  d.w = w;
+  if (s.kernel == 1 && s.pad == 0) {
+    d.h = 1;
+    d.w = h * w;
+  }
+  const int span = s.effective_kernel() - 1;
+  d.oh = s.out_dim(d.h);
+  d.ow = s.out_dim(d.w);
+  d.hp = d.oh + span;
+  d.wp = ceil_div(d.ow, kNR) * kNR + span;
+  d.plane = static_cast<std::size_t>(d.hp) * static_cast<std::size_t>(d.wp);
+  return d;
+}
+
+/// Writes the zero-padded copy of one CHW image: every entry that is not
+/// an input value is +0.0, the value im2col writes for a pad tap.
+void pad_input(const float* image, const ConvSpec& s, const DirectLayout& d,
+               float* dst) {
+  const std::size_t hw = static_cast<std::size_t>(d.h) * d.w;
+  const std::size_t top = static_cast<std::size_t>(s.pad) * d.wp;
+  const int right = d.wp - s.pad - d.w;
+  for (int c = 0; c < s.in_channels; ++c, dst += d.plane) {
+    const float* src = image + static_cast<std::size_t>(c) * hw;
+    std::fill_n(dst, top, 0.0f);
+    float* row = dst + top;
+    for (int r = 0; r < d.h; ++r, row += d.wp, src += d.w) {
+      std::fill_n(row, s.pad, 0.0f);
+      std::memcpy(row + s.pad, src,
+                  static_cast<std::size_t>(d.w) * sizeof(float));
+      std::fill_n(row + s.pad + d.w, right, 0.0f);
+    }
+    std::fill_n(row, d.plane - top - static_cast<std::size_t>(d.h) * d.wp,
+                0.0f);
+  }
+}
+
+/// sgemm_packed's product with B = im2col(image) for each of `n` images,
+/// reading each B row in place: tile (image, output row i, columns
+/// [j0, j0+16)) finds its k-th B row at that image's padded copy + i*wp +
+/// j0 + off[k], where off follows im2col's (c, ki, kj) row order.  Every C
+/// element gets sgemm_packed's chain: ascending k from +0.0 within each K
+/// block, K blocks folded into C in ascending order under the same
+/// first/last flags, then the epilogue.  Tasks own disjoint runs of tile
+/// columns, so their C writes are disjoint.
+void sconv_direct_packed(const ConvSpec& s, const GemmMat& A,
+                         const float* images, int n, int h, int w, float* C,
+                         const GemmEpilogue& epi) {
+  const MicroFn micro = micro_dispatch().direct;
+  const DirectLayout d = direct_layout(s, h, w);
+  const int M = s.out_channels;
+  const int K = s.in_channels * s.kernel * s.kernel;
+  const int cells = d.oh * d.ow;
+  const int mpanels = ceil_div(M, kMR);
+  const std::size_t a_block = static_cast<std::size_t>(mpanels) * kMR;
+  const std::size_t image_floats =
+      static_cast<std::size_t>(s.in_channels) * h * w;
+  const std::size_t padded_floats =
+      static_cast<std::size_t>(s.in_channels) * d.plane;
+
+  ScratchFrame frame(&scratch_arena());
+  // Every image's padded copy up front, so one parallel_for covers the
+  // whole batch's tiles.
+  float* padded = frame.alloc(padded_floats * static_cast<std::size_t>(n));
+  parallel_for(n, 1, [&](std::int64_t nb, std::int64_t ne) {
+    for (std::int64_t img = nb; img < ne; ++img)
+      pad_input(images + static_cast<std::size_t>(img) * image_floats, s, d,
+                padded + static_cast<std::size_t>(img) * padded_floats);
+  });
+  std::ptrdiff_t* off =
+      frame.alloc_as<std::ptrdiff_t>(static_cast<std::size_t>(K));
+  for (int c = 0, k = 0; c < s.in_channels; ++c)
+    for (int ki = 0; ki < s.kernel; ++ki)
+      for (int kj = 0; kj < s.kernel; ++kj, ++k)
+        off[k] = static_cast<std::ptrdiff_t>(c) *
+                     static_cast<std::ptrdiff_t>(d.plane) +
+                 static_cast<std::ptrdiff_t>(ki) * s.dilation * d.wp +
+                 kj * s.dilation;
+  // A once per call: the panels of K block k0 start at a_block * k0.
+  float* pa = frame.alloc(a_block * static_cast<std::size_t>(K));
+  for (int k0 = 0; k0 < K; k0 += kKC)
+    pack_a(A, M, k0, std::min(kKC, K - k0), pa + a_block * k0);
+
+  // The tile columns (image, output row, 16-column block) in row-major
+  // order, split into about kNC cells per task: as many tasks as
+  // sgemm_packed has stripes over the images' columns side by side.
+  const int row_blocks = ceil_div(d.ow, kNR);
+  const std::int64_t image_blocks =
+      static_cast<std::int64_t>(d.oh) * row_blocks;
+  const std::int64_t blocks = image_blocks * n;
+  const std::int64_t tasks = std::min<std::int64_t>(
+      blocks, (static_cast<std::int64_t>(n) * cells + kNC - 1) / kNC);
+  parallel_for(tasks, 1, [&](std::int64_t tb, std::int64_t te) {
+    for (std::int64_t b = tb * blocks / tasks; b < te * blocks / tasks; ++b) {
+      const std::size_t img = static_cast<std::size_t>(b / image_blocks);
+      const int i = static_cast<int>(b % image_blocks / row_blocks);
+      const int j0 = static_cast<int>(b % row_blocks) * kNR;
+      const float* origin = padded + img * padded_floats +
+                            static_cast<std::ptrdiff_t>(i) * d.wp + j0;
+      float* Ci = C + img * static_cast<std::size_t>(M) * cells;
+      for (int k0 = 0; k0 < K; k0 += kKC) {
+        const int kc = std::min(kKC, K - k0);
+        for (int ip = 0; ip < mpanels; ++ip) {
+          MicroTile t;
+          t.pa = pa + a_block * k0 + static_cast<std::size_t>(ip) * kMR * kc;
+          t.pb = origin;
+          t.boff = off + k0;
+          t.c = Ci + static_cast<std::ptrdiff_t>(ip) * kMR * cells +
+                static_cast<std::ptrdiff_t>(i) * d.ow + j0;
+          t.ldc = cells;
+          t.kc = kc;
+          t.mv = std::min(kMR, M - ip * kMR);
+          t.nv = std::min(kNR, d.ow - j0);
+          t.first = k0 == 0;
+          t.last = k0 + kc == K;
+          t.row_bias =
+              epi.row_bias != nullptr ? epi.row_bias + ip * kMR : nullptr;
+          t.col_bias = epi.col_bias != nullptr
+                           ? epi.col_bias + i * d.ow + j0
+                           : nullptr;
+          t.relu = epi.relu;
+          micro(t);
+        }
+      }
+    }
+  });
 }
 
 // ---------------------------------------------------------- reference sgemm
@@ -531,30 +714,54 @@ void sgemm(int M, int N, int K, const GemmMat& A, const GemmMat& B, float* C,
     sgemm_packed(M, N, K, A, B, C, ldc, accumulate, epi);
 }
 
+bool sconv_direct(const ConvSpec& spec, const GemmMat& A, const float* images,
+                  int n, int h, int w, float* C, const GemmEpilogue& epi,
+                  GemmBackend backend) {
+  assert(spec.stride == 1);
+  if (backend == GemmBackend::kDefault) backend = gemm_backend();
+  if (backend == GemmBackend::kReference) return false;
+  if (spec.out_channels > 0 && n > 0 && spec.out_dim(h) > 0 &&
+      spec.out_dim(w) > 0)
+    sconv_direct_packed(spec, A, images, n, h, w, C, epi);
+  return true;
+}
+
+std::size_t sconv_direct_workspace_floats(const ConvSpec& spec, int n, int h,
+                                          int w) {
+  // Mirrors sconv_direct_packed's ScratchFrame: the padded copies, the
+  // offset table and the A panels of every K block.
+  const DirectLayout d = direct_layout(spec, h, w);
+  const std::size_t K = static_cast<std::size_t>(spec.in_channels) *
+                        spec.kernel * spec.kernel;
+  const std::size_t a_block =
+      static_cast<std::size_t>(ceil_div(spec.out_channels, kMR)) * kMR;
+  return arena_lines(static_cast<std::size_t>(std::max(n, 1)) *
+                     static_cast<std::size_t>(spec.in_channels) * d.plane) +
+         arena_lines((K * sizeof(std::ptrdiff_t) + sizeof(float) - 1) /
+                     sizeof(float)) +
+         arena_lines(a_block * K);
+}
+
 std::size_t sgemm_workspace_floats(int M, int N, int K,
                                    GemmBackend backend) {
   if (backend == GemmBackend::kDefault) backend = gemm_backend();
   if (backend == GemmBackend::kReference) return 0;
-  // Mirrors sgemm_packed's ScratchFrame allocations, with each request
-  // rounded to whole cache lines the way ScratchArena::alloc rounds.
-  const auto lines = [](std::size_t floats) {
-    constexpr std::size_t kLine = 64 / sizeof(float);
-    return (std::max<std::size_t>(floats, 1) + kLine - 1) / kLine * kLine;
-  };
+  // Mirrors sgemm_packed's ScratchFrame allocations.
   const std::size_t a_packed =
-      lines(static_cast<std::size_t>(ceil_div(M, kMR)) * kMR *
-            static_cast<std::size_t>(std::min(std::max(K, 1), kKC)));
+      arena_lines(static_cast<std::size_t>(ceil_div(M, kMR)) * kMR *
+                  static_cast<std::size_t>(std::min(std::max(K, 1), kKC)));
   if (K <= kKC) {
     // Single K block: pa up front plus one B stripe panel (the calling
     // thread packs at most one stripe at a time; peer stripes pack into
     // their own threads' arenas).
     const int nc = std::min(std::max(N, 1), kNC);
-    return a_packed + lines(static_cast<std::size_t>(ceil_div(nc, kNR)) *
-                            kNR * static_cast<std::size_t>(std::max(K, 1)));
+    return a_packed +
+           arena_lines(static_cast<std::size_t>(ceil_div(nc, kNR)) * kNR *
+                       static_cast<std::size_t>(std::max(K, 1)));
   }
   // Large K: both operands of one K block packed up front.
-  return a_packed + lines(static_cast<std::size_t>(ceil_div(N, kNR)) * kNR *
-                          static_cast<std::size_t>(kKC));
+  return a_packed + arena_lines(static_cast<std::size_t>(ceil_div(N, kNR)) *
+                                kNR * static_cast<std::size_t>(kKC));
 }
 
 }  // namespace ada

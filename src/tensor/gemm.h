@@ -32,6 +32,12 @@
 // The epilogue hook fuses the bias add and ReLU into the write-out, which
 // saves a full read-modify-write pass over every activation tensor in the
 // detector backbone.
+//
+// Stride-1 convolutions do not pack B.  sconv_direct runs the same
+// micro-kernel with each B row read in place from a zero-padded copy of
+// the input (one value per input pixel plus the pad ring, where im2col
+// writes up to k*k copies), and writes bit for bit what im2col + the
+// packed sgemm write.
 #pragma once
 
 #include <cstddef>
@@ -121,6 +127,30 @@ struct GemmEpilogue {
 void sgemm(int M, int N, int K, const GemmMat& A, const GemmMat& B, float* C,
            int ldc, bool accumulate, const GemmEpilogue& epi = {},
            GemmBackend backend = GemmBackend::kDefault);
+
+struct ConvSpec;  // tensor/conv2d.h
+
+/// For each of the `n` CHW images of `spec.in_channels` x h x w stored back
+/// to back at `images`: C_n (out_c x oh*ow, row-major, ldc = oh*ow, the
+/// blocks back to back from C) = A (out_c x in_c*k*k, columns in im2col's
+/// (c, ki, kj) order) times the image's im2col matrix, with the epilogue
+/// applied, without building that matrix: the packed micro-kernel reads
+/// each B row from a zero-padded copy of the image.  For an NCHW batch that
+/// writes NCHW output.  The bytes equal im2col (pads +0.0) + sgemm(kPacked)
+/// per image, at any K.  `spec.stride` must be 1.  Parallelizes over runs
+/// of 16-column tiles across the whole batch.  Returns false and writes
+/// nothing when `backend` resolves to kReference, whose oracle chain the
+/// caller then runs through im2col + sgemm; every other backend runs
+/// packed.
+bool sconv_direct(const ConvSpec& spec, const GemmMat& A, const float* images,
+                  int n, int h, int w, float* C, const GemmEpilogue& epi,
+                  GemmBackend backend);
+
+/// Scratch-arena floats one packed sconv_direct call over `n` images claims
+/// on the calling thread (a padded copy of every image, the B row offset
+/// table and the A panels), rounded the way the arena rounds.
+std::size_t sconv_direct_workspace_floats(const ConvSpec& spec, int n, int h,
+                                          int w);
 
 /// Scratch-arena floats one sgemm call with these shapes claims on the
 /// calling thread (A/B packing panels, rounded to whole cache lines the

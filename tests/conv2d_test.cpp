@@ -1,10 +1,15 @@
-// Convolution correctness: hand-computed cases + numerical gradient checks.
+// Convolution correctness: hand-computed cases, numerical gradient checks,
+// and the packed forward pinned bitwise to im2col + packed sgemm.
 #include "tensor/conv2d.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
+#include "tensor/gemm.h"
 #include "util/rng.h"
 
 namespace ada {
@@ -248,6 +253,135 @@ TEST(Conv2d, DilatedGradientsMatchNumerical) {
     bm[i] -= eps;
     const double num = (loss(x, w, bp) - loss(x, w, bm)) / (2 * eps);
     EXPECT_NEAR(db[i], num, 5e-2) << "db[" << i << "]";
+  }
+}
+
+/// The lowering oracle: image n's (in_c*k*k) x (oh*ow) column matrix, rows
+/// in (c, ki, kj) order, pad taps +0.0.
+std::vector<float> im2col_oracle(const ConvSpec& s, const Tensor& x, int n) {
+  const int oh = s.out_dim(x.h()), ow = s.out_dim(x.w());
+  std::vector<float> cols;
+  for (int c = 0; c < s.in_channels; ++c)
+    for (int ki = 0; ki < s.kernel; ++ki)
+      for (int kj = 0; kj < s.kernel; ++kj)
+        for (int i = 0; i < oh; ++i)
+          for (int j = 0; j < ow; ++j) {
+            const int hi = i * s.stride - s.pad + ki * s.dilation;
+            const int wj = j * s.stride - s.pad + kj * s.dilation;
+            const bool in = hi >= 0 && hi < x.h() && wj >= 0 && wj < x.w();
+            cols.push_back(in ? x.at(n, c, hi, wj) : 0.0f);
+          }
+  return cols;
+}
+
+/// A value for an adversarial input: mostly N(0, 1), with +-0, denormals,
+/// +-inf and NaN mixed in at `special_rate`.
+float adversarial(Rng* rng, float special_rate) {
+  if (rng->uniform() >= special_rate) return rng->normal();
+  switch (rng->uniform_int(0, 7)) {
+    case 0: return 0.0f;
+    case 1: return -0.0f;
+    case 2: return 1e-40f;
+    case 3: return -3e-39f;
+    case 4: return std::numeric_limits<float>::infinity();
+    case 5: return -std::numeric_limits<float>::infinity();
+    case 6: return std::numeric_limits<float>::quiet_NaN();
+    default: return -std::numeric_limits<float>::quiet_NaN();
+  }
+}
+
+/// The packed forward (which reads stride-1 inputs in place) equals
+/// im2col + packed sgemm bit for bit: every non-NaN output has the same
+/// bits and every NaN output is NaN.  The grid crosses the pad ring (pad 0,
+/// k/2, 4), the dilated taps, widths around the 16-lane tile edge, out_c
+/// around the 6-row panel edge, a K over the 512-deep K block, both
+/// epilogues, batches of 1 and 3, and batches split across tasks mid-image.
+TEST(Conv2d, PackedMatchesIm2colSgemmBitwise) {
+  Rng rng(31);
+  struct Case {
+    ConvSpec spec;
+    int n, h, w;
+    bool bias, relu;
+    float special_rate;
+  };
+  std::vector<Case> cases;
+  const int widths[] = {1, 7, 15, 16, 17, 33, 40};
+  const int out_cs[] = {1, 5, 6, 7, 13};
+  int idx = 0;
+  for (int kernel : {1, 3, 5})
+    for (int pad_sel = 0; pad_sel < 3; ++pad_sel)
+      for (int dilation : {1, 4})
+        for (int w : widths) {
+          const int pad = pad_sel == 0 ? 0 : pad_sel == 1 ? kernel / 2 : 4;
+          ConvSpec s{1 + idx % 5, out_cs[idx % 5], kernel, 1, pad, dilation};
+          // The smallest height with an output row, plus 0-2 rows.
+          const int h = std::max(1, s.effective_kernel() - 2 * pad) + idx % 3;
+          if (s.out_dim(w) > 0)
+            cases.push_back({s, idx % 4 == 3 ? 3 : 1, h, w, idx % 2 == 0,
+                             idx % 3 != 1, idx % 4 == 1 ? 0.0f : 0.02f});
+          ++idx;
+        }
+  // K = 64 * 9 = 576 spans two K blocks; stride 2 keeps the im2col path.
+  cases.push_back({ConvSpec{64, 7, 3, 1, 1, 1}, 1, 5, 17, true, true, 0.0f});
+  cases.push_back({ConvSpec{64, 13, 3, 1, 4, 4}, 3, 3, 19, true, false, 0.01f});
+  cases.push_back({ConvSpec{3, 5, 3, 2, 1, 1}, 3, 9, 33, true, true, 0.02f});
+  // Batches over 1024 output cells split into several tasks whose tile runs
+  // start and end inside an image: 3x3 (4 tasks over 3 images of 30 rows)
+  // and 1x1 (2 tasks over 3 images of one 589-pixel row).
+  cases.push_back({ConvSpec{3, 7, 3, 1, 1, 1}, 3, 30, 37, true, true, 0.01f});
+  cases.push_back({ConvSpec{5, 6, 1, 1, 0, 1}, 3, 19, 31, true, false, 0.01f});
+  ASSERT_GT(cases.size(), 100u);
+
+  for (const Case& c : cases) {
+    const ConvSpec& s = c.spec;
+    Tensor x(c.n, s.in_channels, c.h, c.w);
+    for (std::size_t i = 0; i < x.size(); ++i)
+      x[i] = adversarial(&rng, c.special_rate);
+    Tensor w(s.out_channels, s.in_channels, s.kernel, s.kernel);
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] = adversarial(&rng, 0.0f);
+    Tensor b;
+    if (c.bias) {
+      b = Tensor(1, s.out_channels, 1, 1);
+      for (std::size_t i = 0; i < b.size(); ++i) b[i] = rng.normal();
+    }
+
+    Tensor y;
+    conv2d_forward(s, x, w, b, &y, c.relu, GemmBackend::kPacked);
+
+    const int oh = s.out_dim(c.h), ow = s.out_dim(c.w);
+    const int patch = s.in_channels * s.kernel * s.kernel;
+    const int cells = oh * ow;
+    ASSERT_EQ(y.n(), c.n);
+    ASSERT_EQ(y.c(), s.out_channels);
+    ASSERT_EQ(y.h(), oh);
+    ASSERT_EQ(y.w(), ow);
+    GemmEpilogue epi;
+    epi.row_bias = c.bias ? b.data() : nullptr;
+    epi.relu = c.relu;
+    std::vector<float> want(y.size());
+    for (int n = 0; n < c.n; ++n) {
+      const std::vector<float> cols = im2col_oracle(s, x, n);
+      sgemm(s.out_channels, cells, patch, GemmMat{w.data(), patch, 1},
+            GemmMat{cols.data(), cells, 1},
+            want.data() + static_cast<std::size_t>(n) * s.out_channels * cells,
+            cells, /*accumulate=*/false, epi, GemmBackend::kPacked);
+    }
+
+    std::size_t mismatches = 0, nans = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (std::isnan(want[i])) {
+        ++nans;
+        if (!std::isnan(y[i])) ++mismatches;
+      } else if (std::memcmp(&want[i], &y[i], sizeof(float)) != 0) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u)
+        << "in_c=" << s.in_channels << " out_c=" << s.out_channels
+        << " k=" << s.kernel << " stride=" << s.stride << " pad=" << s.pad
+        << " dilation=" << s.dilation << " n=" << c.n << " h=" << c.h
+        << " w=" << c.w << " bias=" << c.bias << " relu=" << c.relu
+        << " (" << nans << " NaN outputs)";
   }
 }
 

@@ -1,15 +1,17 @@
 // Ahead-of-time execution plans: built lazily once per (model, shape,
-// backend) and reused (zero arena growth after warm-up, and an int8 plan's
-// arena reserve covering its first forward), invalidated by
+// backend) and reused (zero arena growth after warm-up, and an fp32 or int8
+// plan's arena reserve covering its first forward), invalidated by
 // quantize() and training-mode re-entry, kernel choices that follow the
 // model's policy, MAC totals that match the architecture's source of
 // truth, batched planned forwards bit-identical to per-image on both
 // fp32 backends, and golden bytes for the planned forward under every
-// kernel family.
+// kernel family.  The autotune race reads the fastest of several windows on
+// an injected clock and runs its kernels inline.
 #include "runtime/exec_plan.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "detection/detector.h"
 #include "runtime/scratch.h"
 #include "runtime/thread_pool.h"
+#include "util/clock.h"
 #include "util/file_io.h"
 
 namespace ada {
@@ -62,6 +65,13 @@ double bench_alternating(const std::function<void()>& run) {
   const bool int8_wins = (call / 2) % 2 == 0;
   const bool is_int8_call = call % 2 == 0;
   return (int8_wins == is_int8_call) ? 1.0 : 2.0;
+}
+
+/// The default bench's windows on a scripted clock: the race closures
+/// advance it by the time each run takes.
+ManualClock g_race_clock;
+double bench_on_race_clock(const std::function<void()>& run) {
+  return autotune_bench_windows(run, g_race_clock);
 }
 
 /// Installs a fake bench and isolates the process-global choice cache for
@@ -171,6 +181,75 @@ TEST_F(ExecPlanTest, Int8ArenaReserveCoversPlannedForward) {
     EXPECT_EQ(grown, 0u) << img.h() << "x" << img.w()
                          << ": arena_floats=" << plan.arena_floats;
   }
+}
+
+TEST_F(ExecPlanTest, Fp32ArenaReserveCoversPlannedForward) {
+  // The fp32 twin of the int8 test above: the packed plan's arena_floats
+  // must cover what the direct stride-1 conv claims (the padded images,
+  // their offset table and the A panels) at every S_reg scale, for one
+  // image and for a batch of three.
+  BackendGuard guard;
+  detector_->set_execution_policy(ExecutionPolicy::fp32());
+  for (int s : ScaleSet::reg_default().scales) {
+    const Tensor img = render(s);
+    for (const Tensor& input : {img, Tensor::batch_of({&img, &img, &img})}) {
+      const ExecutionPlan& plan =
+          detector_->plan_for(input.n(), input.h(), input.w());
+      std::size_t grown = 0;
+      std::thread fresh([&] {
+        InlineKernelScope inline_kernels;
+        ScratchArena& arena = scratch_arena();
+        arena.reserve(plan.arena_floats);
+        const std::size_t allocs = arena.heap_alloc_count();
+        detector_->forward(input);
+        grown = arena.heap_alloc_count() - allocs;
+      });
+      fresh.join();
+      EXPECT_EQ(grown, 0u) << input.n() << "x" << input.h() << "x"
+                           << input.w()
+                           << ": arena_floats=" << plan.arena_floats;
+    }
+  }
+}
+
+TEST(AutotuneBench, OneSlowWindowDoesNotHandTheLayerToSteadilySlowerKernel) {
+  // int8 runs take 0.3 ms but one is hit by a 20 ms host spike; fp32 runs
+  // take a steady 0.45 ms.  The mean of one 2 ms window would read int8 at
+  // about 10 ms and fall the layer back to fp32; the fastest window reads
+  // the kernel.
+  AutotuneGuard tune(bench_on_race_clock);
+  int int8_runs = 0, fp32_runs = 0;
+  const AutotuneChoice& c = autotune_choice(
+      "scripted race",
+      [&] { g_race_clock.advance(++int8_runs == 3 ? 20.0 : 0.3); },
+      [&] {
+        ++fp32_runs;
+        g_race_clock.advance(0.45);
+      });
+  EXPECT_EQ(c.kernel, KernelKind::kInt8);
+  EXPECT_NEAR(c.int8_ns, 0.3e6, 1.0);
+  EXPECT_NEAR(c.fp32_ns, 0.45e6, 1.0);
+  // A warmup run, then windows until three have passed and 2 ms in all:
+  // the spike's window ends the int8 side after three windows, while the
+  // fp32 side needs five 0.45 ms windows to fill the budget.
+  EXPECT_EQ(int8_runs, 4);
+  EXPECT_EQ(fp32_runs, 6);
+}
+
+TEST(AutotuneBench, RaceRunsItsKernelsInline) {
+  // Whatever the pool's width, the race's parallel_for calls run on the
+  // racing thread and ask no worker to help.
+  AutotuneGuard tune(bench_int8_wins);
+  const std::uint64_t helpers = global_pool()->helpers_submitted();
+  std::atomic<std::int64_t> cells{0};
+  const auto kernel = [&] {
+    parallel_for(64, 1, [&](std::int64_t b, std::int64_t e) {
+      cells.fetch_add(e - b, std::memory_order_relaxed);
+    });
+  };
+  autotune_choice("inline race", kernel, kernel);
+  EXPECT_EQ(cells.load(), 128);
+  EXPECT_EQ(global_pool()->helpers_submitted(), helpers);
 }
 
 TEST_F(ExecPlanTest, PlanContentMatchesArchitecture) {
