@@ -1,7 +1,8 @@
 // Multi-stream serving throughput: N independent AdaScale pipelines driven
 // concurrently (runtime/multi_stream.h) versus one after another, plus the
 // cross-stream *batched* mode where same-scale frames share one backbone
-// forward (runtime/batch_scheduler.h).
+// forward (MultiStreamRunner::run_batched: the same drain loop parks
+// rendered frames in same-scale buckets).
 //
 // This is the production-serving scenario the ROADMAP targets: many users'
 // video streams arriving at once.  Algorithm 1 is sequential within a stream
@@ -10,7 +11,7 @@
 // streams until the core count saturates; on a single core all unbatched
 // rows should sit near 1.0x.  The batched rows then stack GEMM-call
 // amortization on top: one sgemm per layer per *batch* instead of per
-// frame.  `MeanBatch` reports how full the scheduler's batches actually ran.
+// frame.  `MeanBatch` reports how full the batches actually ran.
 //
 // Usage: bench_multi_stream [max_streams] [snippets]
 #include <algorithm>
@@ -106,10 +107,10 @@ int main(int argc, char** argv) {
   std::printf("unbatched best: %.1f FPS — batched rows above compare "
               "against the same jobs on %d streams\n",
               unbatched_max_fps, max_streams);
-  std::printf("note: this bench pins ADASCALE_THREADS=1 to isolate "
+  std::printf("note: this bench defaults ADASCALE_THREADS to 1 to isolate "
               "stream-level scaling, which understates batching (a batch's "
-              "single big GEMM cannot use the kernel pool).  bench_report's "
-              "multi_stream section measures the full-machine comparison "
-              "that BENCH_kernels.json records.\n");
+              "single big GEMM cannot use the kernel pool); set "
+              "ADASCALE_THREADS to the core count for the full-machine "
+              "comparison.\n");
   return 0;
 }

@@ -4,23 +4,25 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "tensor/image_ops.h"
 #include "util/timer.h"
 
 namespace ada {
 
-/// Scoped model access for one frame.  With no pool bound, det()/reg()
-/// pass through to the constructor-supplied models.  With a pool, the
-/// first det()/reg() call acquires a lease and every later call within the
-/// hold returns the SAME context (process() relies on detect() and the
-/// following features() read hitting one instance); drop() releases it —
-/// mandatory before a blocking DetectBackend call, after which the next
-/// det()/reg() transparently re-acquires (possibly a different, but
-/// bit-equivalent, context).
+/// Scoped model access for one half of a frame.  With no pool bound,
+/// det()/reg() pass through to the constructor-supplied models.  With a
+/// pool, the first det()/reg() call acquires a lease and every later call
+/// within the hold returns the SAME context (serve_backbone relies on
+/// detect_batch() and the following features() read hitting one
+/// instance); destruction releases it.
 struct AdaScalePipeline::ModelLease {
   explicit ModelLease(AdaScalePipeline* p) : p_(p) {}
-  ~ModelLease() { drop(); }
+  ~ModelLease() {
+    if (held_) p_->pool_->release(lease_);
+  }
   ModelLease(const ModelLease&) = delete;
   ModelLease& operator=(const ModelLease&) = delete;
 
@@ -31,13 +33,6 @@ struct AdaScalePipeline::ModelLease {
   ScaleRegressor* reg() {
     ensure();
     return p_->pool_ != nullptr ? lease_.regressor : p_->regressor_;
-  }
-  void drop() {
-    if (held_) {
-      p_->pool_->release(lease_);
-      lease_ = ModelPool::Lease{};
-      held_ = false;
-    }
   }
 
  private:
@@ -59,52 +54,111 @@ int AdaScalePipeline::capped(int s) const {
 }
 
 AdaFrameOutput AdaScalePipeline::process(const Scene& frame) {
-  if (dff_enabled_) return process_dff(frame, /*backend=*/nullptr);
-
-  AdaFrameOutput out;
-  // A cap imposed between frames takes effect here, before the render.
-  ctx_.target_scale = capped(ctx_.target_scale);
-  out.scale_used = ctx_.target_scale;
-
-  const Tensor image =
-      renderer_->render_at_scale(frame, ctx_.target_scale, policy_);
-  ModelLease m(this);
-  out.detections = m.det()->detect(image);
-  out.detect_ms = out.detections.forward_ms;
-
-  // Regress t on the deep features of *this* frame; apply to the next.
-  // Within one lease hold det() is stable, so features() reads the same
-  // context detect() just ran on.
-  out.regressed_t = m.reg()->predict(m.det()->features());
-  out.regressor_ms = m.reg()->last_predict_ms();
-  out.next_scale =
-      decode_scale_target(out.regressed_t, ctx_.target_scale, sreg_);
-  if (snap_to_set_) out.next_scale = sreg_.nearest(out.next_scale);
-  out.next_scale = capped(out.next_scale);
-  ctx_.target_scale = out.next_scale;
-  return out;
+  StagedFrame f = stage(frame);
+  if (f.needs_backbone) {
+    StagedFrame* one = &f;
+    serve_backbone(&one, 1);
+  }
+  return std::move(f.out);
 }
 
-AdaFrameOutput AdaScalePipeline::process_via(const Scene& frame,
-                                             const DetectBackend& backend) {
-  if (dff_enabled_) return process_dff(frame, &backend);
+AdaScalePipeline::StagedFrame AdaScalePipeline::stage(const Scene& frame) {
+  if (dff_enabled_) return stage_dff(frame);
 
-  AdaFrameOutput out;
+  StagedFrame f;
+  f.pipeline = this;
+  f.needs_backbone = true;
+  // A cap imposed between frames takes effect here, before the render.
   ctx_.target_scale = capped(ctx_.target_scale);
-  out.scale_used = ctx_.target_scale;
+  f.out.scale_used = ctx_.target_scale;
+  f.image = renderer_->render_at_scale(frame, ctx_.target_scale, policy_);
+  return f;
+}
 
-  Tensor image = renderer_->render_at_scale(frame, ctx_.target_scale, policy_);
-  DetectResult r = backend(std::move(image));
-  out.detections = std::move(r.detections);
-  out.detect_ms = r.detect_ms;
-  out.regressed_t = r.regressed_t;
-  out.regressor_ms = r.regressor_ms;
-  out.next_scale =
-      decode_scale_target(out.regressed_t, ctx_.target_scale, sreg_);
-  if (snap_to_set_) out.next_scale = sreg_.nearest(out.next_scale);
-  out.next_scale = capped(out.next_scale);
-  ctx_.target_scale = out.next_scale;
-  return out;
+void AdaScalePipeline::serve_backbone(StagedFrame* const* frames, int n) {
+  AdaScalePipeline* lead = frames[0]->pipeline;
+  bool regress = false;
+  std::vector<const Tensor*> images;
+  images.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const StagedFrame& f = *frames[i];
+    const bool same_models = lead->pool_ != nullptr
+                                 ? f.pipeline->pool_ == lead->pool_
+                                 : f.pipeline == lead;
+    if (!f.needs_backbone || !same_models ||
+        f.image.h() != frames[0]->image.h() ||
+        f.image.w() != frames[0]->image.w()) {
+      std::fprintf(stderr,
+                   "AdaScalePipeline::serve_backbone: frame %d does not need "
+                   "the backbone or does not share frame 0's pool and image "
+                   "size\n",
+                   i);
+      std::abort();
+    }
+    regress = regress || f.pipeline->regresses_on_backbone();
+    images.push_back(&f.image);
+  }
+
+  Tensor stacked;
+  if (n > 1) stacked = Tensor::batch_of(images);
+  ModelLease m(lead);
+  std::vector<DetectionOutput> dets =
+      m.det()->detect_batch(n > 1 ? stacked : frames[0]->image);
+  // Regress t on the deep features of *these* frames; each applies it to
+  // its stream's next frame.  Within one lease hold det() is stable, so
+  // features() reads the same context detect_batch() just ran on.
+  const Tensor& features = m.det()->features();
+  std::vector<float> ts(static_cast<std::size_t>(n), 0.0f);
+  double regressor_ms = 0.0;
+  if (regress) {
+    ts = m.reg()->predict_batch(features);
+    regressor_ms = m.reg()->last_predict_ms();
+  }
+  for (int i = 0; i < n; ++i) {
+    const std::size_t k = static_cast<std::size_t>(i);
+    frames[i]->pipeline->finish(frames[i], std::move(dets[k]), ts[k],
+                                regressor_ms, features, i);
+  }
+}
+
+void AdaScalePipeline::finish(StagedFrame* f, DetectionOutput dets, float t,
+                              double regressor_ms, const Tensor& features,
+                              int i) {
+  AdaFrameOutput& out = f->out;
+  out.detections = std::move(dets);
+  out.detect_ms = out.detections.forward_ms;
+  if (regresses_on_backbone()) {
+    out.regressed_t = t;
+    out.regressor_ms = regressor_ms;
+  }
+  if (!dff_enabled_) {
+    out.next_scale = decode_scale_target(t, out.scale_used, sreg_);
+    if (snap_to_set_) out.next_scale = sreg_.nearest(out.next_scale);
+    out.next_scale = capped(out.next_scale);
+    ctx_.target_scale = out.next_scale;
+    return;
+  }
+
+  // A DFF key: cache its deep features and the grayscale key at feature
+  // resolution, which warp frames match against until the next key.
+  DffStreamState& st = ctx_.dff;
+  st.key_features = features.image(i);
+  st.key_gray = Tensor();
+  bilinear_resize(f->flow_gray, st.key_features.h(), st.key_features.w(),
+                  &st.key_gray);
+  st.prev_gray = st.key_gray;
+  st.acc_flow_y = Tensor();
+  st.acc_flow_x = Tensor();
+  if (dff_.adascale) {
+    int next = decode_scale_target(t, st.current_scale, sreg_);
+    if (snap_to_set_) next = sreg_.nearest(next);
+    st.pending_scale = capped(next);
+  }
+  out.dff_key = true;
+  st.has_key = true;
+  st.since_key = 0;
+  ++st.frame_index;
+  out.next_scale = st.pending_scale;
 }
 
 void AdaScalePipeline::set_dff(const DffServingConfig& cfg) {
@@ -119,81 +173,11 @@ Tensor AdaScalePipeline::flow_gray(const Scene& frame) const {
       frame, DffServingConfig::flow_render_scale, policy_));
 }
 
-void AdaScalePipeline::refresh_key(const Scene& frame, Tensor image,
-                                   const DetectBackend* backend,
-                                   AdaFrameOutput* out, ModelLease* m) {
+AdaScalePipeline::StagedFrame AdaScalePipeline::stage_dff(const Scene& frame) {
   DffStreamState& st = ctx_.dff;
-  const int img_h = image.h(), img_w = image.w();
-  // The downsample of the grayscale flow source to feature resolution waits
-  // until the feature dimensions are known.
-  const Tensor gray = flow_gray(frame);
-
-  if (backend != nullptr) {
-    // The backend may park this thread in a BatchScheduler queue waiting
-    // for batch-mates; holding a pooled context across that wait could
-    // starve the very streams the batch needs (leader deadlock), so the
-    // lease is released first and re-acquired for the head pass below.
-    m->drop();
-    DetectResult r = (*backend)(std::move(image));
-    if (r.features.size() == 0) {
-      std::fprintf(stderr,
-                   "AdaScalePipeline: DFF key frame served through a backend "
-                   "that returned no features — run the BatchScheduler with "
-                   "features_only (MultiStreamRunner::run_batched does this "
-                   "automatically once set_dff is called)\n");
-      std::abort();
-    }
-    st.key_features = std::move(r.features);
-    out->detect_ms = r.detect_ms;
-    if (dff_.adascale) {
-      out->regressed_t = r.regressed_t;
-      out->regressor_ms = r.regressor_ms;
-    }
-  } else {
-    Timer backbone_timer;
-    const Tensor& features = m->det()->forward(image);
-    out->detect_ms = backbone_timer.elapsed_ms();
-    st.key_features = features;
-    if (dff_.adascale) {
-      out->regressed_t = m->reg()->predict(st.key_features);
-      out->regressor_ms = m->reg()->last_predict_ms();
-    }
-  }
-  // The forward above already ran the heads on the detector's own
-  // features; a backend's features still need them.
-  const Tensor& head_input =
-      backend != nullptr ? st.key_features : m->det()->features();
-
-  st.key_gray = Tensor();
-  bilinear_resize(gray, st.key_features.h(), st.key_features.w(),
-                  &st.key_gray);
-  st.prev_gray = st.key_gray;
-  st.acc_flow_y = Tensor();
-  st.acc_flow_x = Tensor();
-
-  // Heads + decode run on the stream's own detector in BOTH execution modes
-  // (the key features, not the backend's decode, are the input), through
-  // the same plan steps, which is what makes batched serving bit-identical
-  // to serial regardless of batch composition.
-  Timer head_timer;
-  out->detections = m->det()->detect_from_features(head_input, img_h, img_w);
-  out->detect_ms += head_timer.elapsed_ms();
-
-  if (dff_.adascale) {
-    int next = decode_scale_target(out->regressed_t, st.current_scale, sreg_);
-    if (snap_to_set_) next = sreg_.nearest(next);
-    st.pending_scale = capped(next);
-  }
-
-  out->dff_key = true;
-  st.has_key = true;
-  st.since_key = 0;
-}
-
-AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
-                                             const DetectBackend* backend) {
-  DffStreamState& st = ctx_.dff;
-  AdaFrameOutput out;
+  StagedFrame f;
+  f.pipeline = this;
+  AdaFrameOutput& out = f.out;
   out.dff = true;
   ModelLease m(this);  // lazy: flow-only warp frames never acquire
 
@@ -288,7 +272,7 @@ AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
         ++st.since_key;
         ++st.frame_index;
         out.next_scale = st.pending_scale;
-        return out;
+        return f;
       }
     }
 
@@ -298,11 +282,12 @@ AdaFrameOutput AdaScalePipeline::process_dff(const Scene& frame,
     out.scale_used = st.current_scale;
   }
 
-  Tensor image = renderer_->render_at_scale(frame, st.current_scale, policy_);
-  refresh_key(frame, std::move(image), backend, &out, &m);
-  ++st.frame_index;
-  out.next_scale = st.pending_scale;
-  return out;
+  // A key frame: its backbone, regression and cache refresh run in
+  // serve_backbone, which needs the flow render as well as the image.
+  f.needs_backbone = true;
+  f.image = renderer_->render_at_scale(frame, st.current_scale, policy_);
+  f.flow_gray = flow_gray(frame);
+  return f;
 }
 
 }  // namespace ada

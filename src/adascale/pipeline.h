@@ -25,7 +25,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 
 #include "adascale/scale_regressor.h"
 #include "adascale/scale_set.h"
@@ -146,67 +145,68 @@ class AdaScalePipeline {
   /// The per-stream mutable state (inspection/tests).
   const StreamContext& context() const { return ctx_; }
 
+  /// A frame between the two halves of serving.  The first half (stage)
+  /// either finished it — a DFF warp frame, served on warped features — or
+  /// rendered the image the backbone still has to run on (serve_backbone).
+  struct StagedFrame {
+    AdaScalePipeline* pipeline = nullptr;  ///< the stream that staged it
+    AdaFrameOutput out;           ///< complete once !needs_backbone
+    bool needs_backbone = false;
+    Tensor image;                 ///< rendered at out.scale_used
+    Tensor flow_gray;             ///< DFF key frames: the tiny flow render
+  };
+
   /// Processes one frame: detect at the current target scale, then update
   /// the target scale from the regressed relative scale.  In DFF mode,
   /// key frames run the full backbone and refresh the feature cache; warp
-  /// frames skip the backbone entirely.
+  /// frames skip the backbone entirely.  This is stage() followed by
+  /// serve_backbone() on the frame alone.
   AdaFrameOutput process(const Scene& frame);
 
-  /// What a detection backend returns for one rendered frame — detections
-  /// plus the regressed relative scale of that frame's deep features.
-  struct DetectResult {
-    DetectionOutput detections;
-    float regressed_t = 0.0f;
-    double detect_ms = 0.0;
-    double regressor_ms = 0.0;
-    /// The frame's deep features (backbone output).  Only populated when
-    /// the backend runs in feature-returning mode (DFF key frames served
-    /// through a BatchScheduler with features_only set); empty otherwise.
-    Tensor features;
-  };
+  /// The first half of a frame: applies the scale cap and renders; in DFF
+  /// mode it also runs flow, the residual gate and the scale-jump trigger,
+  /// and finishes a warp frame outright.  It holds no context lease on
+  /// return, so a staged frame can wait for batch-mates without starving
+  /// the pool.
+  StagedFrame stage(const Scene& frame);
 
-  /// Pluggable detection backend: receives the frame rendered at the
-  /// current target scale, returns detections + regressed t.  This is how
-  /// the runtime layer routes frames through a cross-stream BatchScheduler
-  /// without the pipeline depending on it; results must match what the
-  /// pipeline's own detector/regressor would produce for the scale
-  /// trajectory to stay bit-identical to process().
-  using DetectBackend = std::function<DetectResult(Tensor image)>;
-
-  /// process(), but detection runs through `backend` instead of the owned
-  /// detector/regressor.  Scale state updates identically.  In DFF mode
-  /// only key frames reach the backend (which must return features —
-  /// BatchSchedulerConfig::features_only); warp frames never leave the
-  /// stream: flow, warp, and heads all run on the stream's own models.
-  AdaFrameOutput process_via(const Scene& frame, const DetectBackend& backend);
+  /// Serves the backbone of `n` staged frames that share a pool (or, with
+  /// no pool bound, one pipeline) and an image size: one lease, one
+  /// detect_batch over the images, one predict_batch on its features where
+  /// a frame's mode runs the regressor, then each frame's own second half
+  /// (a DFF key caches its features; the scale target is decoded and the
+  /// pending scale set).  Batched kernels are bitwise the single-image
+  /// ones, so the bytes do not depend on `n`; detect_ms and regressor_ms
+  /// are the batch's time amortized per frame.
+  static void serve_backbone(StagedFrame* const* frames, int n);
 
   /// Routes all model access through `pool` from the next frame on (null
-  /// unbinds, restoring the constructor-supplied models).  Leases are
-  /// acquired lazily per frame at the first model touch and released before
-  /// any blocking backend call, so a pipeline never holds a pooled context
-  /// while parked in a BatchScheduler queue.  The constructor-supplied
-  /// detector/regressor are untouched while a pool is bound — they can be
-  /// the master weight copies the pool's contexts alias.
+  /// unbinds, restoring the constructor-supplied models).  Each half of a
+  /// frame leases a context at its first model touch and returns it when
+  /// the half ends, so a staged frame never holds one.  The constructor-
+  /// supplied detector/regressor are untouched while a pool is bound — they
+  /// can be the master weight copies the pool's contexts alias.
   void bind_pool(ModelPool* pool) { pool_ = pool; }
   ModelPool* pool() const { return pool_; }
 
  private:
-  /// One frame's scoped model access; defined in pipeline.cpp.  Lazily
-  /// acquires from pool_ (or passes through to the owned models) and
-  /// releases on destruction or explicitly around blocking calls.
+  /// One half-frame's scoped model access; defined in pipeline.cpp.
+  /// Lazily acquires from pool_ (or passes through to the owned models)
+  /// and releases on destruction.
   struct ModelLease;
 
-  /// The keyframe/warp branch shared by process() / process_via().
-  /// `backend` is null for owned-model execution.
-  AdaFrameOutput process_dff(const Scene& frame, const DetectBackend* backend);
+  /// stage() in DFF mode: the keyframe/warp decision and the warp frame.
+  StagedFrame stage_dff(const Scene& frame);
 
-  /// Runs the full backbone on `image` (leased detector or backend), caches
-  /// key features + grayscale into the context, detects on the cached
-  /// features, and (when dff_.adascale) regresses the next key's scale.
-  /// `frame` supplies the grayscale flow source (tiny render).
-  void refresh_key(const Scene& frame, Tensor image,
-                   const DetectBackend* backend, AdaFrameOutput* out,
-                   ModelLease* m);
+  /// The second half of a frame serve_backbone ran as image `i` of its
+  /// batch: `dets` and `t` are that image's detections and regressed t,
+  /// `features` the batch's deep features.
+  void finish(StagedFrame* f, DetectionOutput dets, float t,
+              double regressor_ms, const Tensor& features, int i);
+
+  /// Whether a backbone frame of this pipeline regresses the next scale
+  /// (always, except on plain-DFF key frames).
+  bool regresses_on_backbone() const { return !dff_enabled_ || dff_.adascale; }
 
   /// Grayscale flow source for `frame`: a dedicated render at
   /// DffServingConfig::flow_render_scale (callers resize it to the feature

@@ -502,7 +502,7 @@ std::unique_ptr<Detector> clone_detector(Detector* src) {
   // INT8 tables, so stream/context clones serve exactly like the source.
   if (src->quantized()) dst->quantize_like(src);
   // The execution policy rides along too — a mixed-precision serving
-  // config survives cloning into streams and scheduler contexts.
+  // config survives cloning into serving contexts.
   dst->set_execution_policy(src->execution_policy());
   return dst;
 }

@@ -148,8 +148,8 @@ class Detector {
   /// Copies `src`'s quantization state (calibrated activation ranges) onto
   /// this detector's structurally identical layers and re-freezes INT8
   /// weights from this detector's (already copied) fp32 parameters.  Used
-  /// by clone_detector so MultiStreamRunner streams and BatchScheduler
-  /// contexts serve INT8 exactly like the original.
+  /// by clone_detector so every serving context serves INT8 exactly like
+  /// the original.
   void quantize_like(Detector* src);
 
   /// One SGD step on a single image; returns the Eq. (1) loss value.
@@ -242,9 +242,8 @@ std::vector<Detection> decode_candidates(const Tensor& cls, const Tensor& reg,
                                          int image_w);
 
 /// Deep-copies a detector: same architecture/config, parameter values copied
-/// from `src`.  Every concurrent user (MultiStreamRunner stream,
-/// BatchScheduler context) needs its own copy because Detector caches
-/// activations between forward and detect.
+/// from `src`.  Every concurrent user needs its own instance because
+/// Detector caches activations between forward and detect.
 std::unique_ptr<Detector> clone_detector(Detector* src);
 
 /// Clones a detector for pooled serving: per-instance state (activation

@@ -5,9 +5,9 @@
 // forward — shared mutable state under concurrent streams, and per-model
 // precision (int8 backbone + fp32 regressor) was impossible.  An
 // ExecutionPolicy is owned per model (Detector, ScaleRegressor), propagated
-// to every layer it contains, and inherited by clones, so MultiStreamRunner
-// streams and BatchScheduler contexts each resolve kernels from immutable
-// per-model state instead of racing on a global.
+// to every layer it contains, and inherited by clones, so the serving
+// contexts of MultiStreamRunner's pools each resolve kernels from
+// immutable per-model state instead of racing on a global.
 //
 // Resolution order: explicit (pinned) policy > env default.  A default-
 // constructed policy is *unpinned* — it defers to the process-wide default

@@ -2,14 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
+#include <tuple>
+#include <utility>
 
 #include "runtime/thread_pool.h"
 #include "util/timer.h"
@@ -82,64 +86,23 @@ void MultiStreamRunner::set_stream_policy(
 
 void MultiStreamRunner::set_dff(const DffServingConfig& cfg) {
   for (const auto& s : streams_) s->pipeline->set_dff(cfg);
-  dff_enabled_ = true;
 }
 
 void MultiStreamRunner::set_scale_cap(int cap) {
   for (const auto& s : streams_) s->pipeline->set_scale_cap(cap);
 }
 
-MultiStreamResult MultiStreamRunner::run_impl(
-    const std::vector<const Snippet*>& jobs, BatchScheduler* scheduler) {
-  MultiStreamResult result;
-  result.streams.resize(streams_.size());
-  result.batched = true;
-
-  auto stream_main = [&](int sid) {
-    Stream& stream = *streams_[static_cast<std::size_t>(sid)];
-    StreamOutput& out = result.streams[static_cast<std::size_t>(sid)];
-    out.stream_id = sid;
-    AdaScalePipeline::DetectBackend backend = [scheduler](Tensor image) {
-      BatchSubmitResult r = scheduler->submit(image);
-      AdaScalePipeline::DetectResult d;
-      d.detections = std::move(r.detections);
-      d.regressed_t = r.regressed_t;
-      d.detect_ms = r.detect_ms;
-      d.regressor_ms = r.regressor_ms;
-      d.features = std::move(r.features);
-      return d;
-    };
-    scheduler->attach();
-    Timer busy;
-    for (std::size_t j = static_cast<std::size_t>(sid); j < jobs.size();
-         j += streams_.size()) {
-      stream.pipeline->reset();
-      for (const Scene& frame : jobs[j]->frames)
-        out.frames.push_back(stream.pipeline->process_via(frame, backend));
-    }
-    out.busy_ms = busy.elapsed_ms();
-    scheduler->detach();
-  };
-
-  Timer wall;
-  std::vector<std::thread> threads;
-  threads.reserve(streams_.size());
-  for (int s = 0; s < num_streams(); ++s) threads.emplace_back(stream_main, s);
-  for (std::thread& t : threads) t.join();
-  result.wall_ms = wall.elapsed_ms();
-
-  for (const StreamOutput& s : result.streams)
-    result.total_frames += static_cast<long>(s.frames.size());
-  result.aggregate_fps = result.wall_ms > 0.0
-                             ? 1000.0 * static_cast<double>(result.total_frames)
-                                   / result.wall_ms
-                             : 0.0;
-  result.batch_stats = scheduler->stats();
-  return result;
+void BatchSchedulerConfig::validate() const {
+  if (max_batch < 1) {
+    std::fprintf(stderr, "BatchSchedulerConfig: max_batch must be >= 1 "
+                         "(got %d)\n", max_batch);
+    std::abort();
+  }
 }
 
-MultiStreamResult MultiStreamRunner::run_table(
-    const std::vector<const Snippet*>& jobs, const StreamTableConfig& cfg) {
+MultiStreamResult MultiStreamRunner::drain(
+    const std::vector<const Snippet*>& jobs, const StreamTableConfig& cfg,
+    int max_batch) {
   cfg.validate();
   const std::size_t n = streams_.size();
   MultiStreamResult result;
@@ -176,14 +139,56 @@ MultiStreamResult MultiStreamRunner::run_table(
         1, std::min(static_cast<int>(n),
                     static_cast<int>(std::thread::hardware_concurrency())));
 
-  // Dispatch: a ready deque of stream ids.  A stream id is either in the
-  // deque or owned by exactly one worker, never both — within-stream frame
-  // order (and thus bit-identical output) holds for any worker count.
+  // Dispatch: a ready deque of stream ids.  A stream id is in the deque,
+  // owned by exactly one worker, or parked with its staged frame in a
+  // bucket, never two of these — within-stream frame order (and thus
+  // bit-identical output) holds for any worker count.
   std::mutex mu;
   std::condition_variable cv;
   std::deque<int> ready;
+  long holding = 0;  // streams that still hold frames
   for (std::size_t s = 0; s < n; ++s)
-    if (!queues[s].empty()) ready.push_back(static_cast<int>(s));
+    if (!queues[s].empty()) {
+      ready.push_back(static_cast<int>(s));
+      ++holding;
+    }
+
+  // Buckets of staged backbone frames, keyed by the stream's pool and the
+  // rendered size (ordered maps, R5).  A bucket closes when it holds
+  // max_batch frames, or when every stream that still holds frames is
+  // parked: then no frame can join any open bucket, so all of them close.
+  // That needs no deadline, and a stream that runs out of frames stops
+  // counting, so no frame is stranded.  Closed buckets are keyed by the
+  // park order of their oldest frame and served oldest first.
+  struct Parked {
+    int sid = 0;
+    long seq = 0;  // park order
+    AdaScalePipeline::StagedFrame frame;
+  };
+  using Bucket = std::vector<Parked>;
+  std::map<std::tuple<const ModelPool*, int, int>, Bucket> open;
+  std::map<long, Bucket> closed;
+  long parked = 0;  // frames in open or closed buckets
+  long park_seq = 0;
+  result.batch_stats.batch_size_hist.assign(
+      static_cast<std::size_t>(max_batch) + 1, 0);
+  auto close_bucket = [&](auto it) {
+    const long oldest = it->second.front().seq;
+    closed.emplace(oldest, std::move(it->second));
+    return open.erase(it);
+  };
+  auto close_if_all_parked = [&] {
+    if (parked < holding) return;
+    for (auto it = open.begin(); it != open.end();) it = close_bucket(it);
+  };
+  // A stream's frame is done: back to the ready set, or out of the count.
+  auto frame_done = [&](int sid) {
+    --remaining;
+    if (!queues[static_cast<std::size_t>(sid)].empty())
+      ready.push_back(sid);
+    else
+      --holding;
+  };
 
   // Busy workers that alone outnumber the kernel pool's threads already
   // cover every core the pool is sized for; fanning a frame's kernels out
@@ -212,33 +217,87 @@ MultiStreamResult MultiStreamRunner::run_table(
   auto worker_main = [&]() {
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
-      while (ready.empty() && remaining > 0) cv.wait(lk);
+      while (closed.empty() && ready.empty() && remaining > 0) cv.wait(lk);
       if (remaining <= 0) {
         cv.notify_all();
         return;
       }
-      const int sid = ready.front();
-      ready.pop_front();
-      // This worker now exclusively owns stream `sid`: its queue, pipeline
-      // and output slot are untouched by anyone else until it is returned
-      // to the deque (the mutex hand-off orders the memory).
-      ArrivalQueue& q = queues[static_cast<std::size_t>(sid)];
-      Stream& stream = *streams_[static_cast<std::size_t>(sid)];
-      StreamOutput& out = result.streams[static_cast<std::size_t>(sid)];
-      lk.unlock();
-      const AdmittedFrame f = q.pop();
-      if (f.snippet_start) stream.pipeline->reset();
-      std::optional<InlineKernelScope> own_core;
-      if (out.frames.size() < inline_depth) own_core.emplace();
-      Timer frame_timer;
-      AdaFrameOutput frame_out = stream.pipeline->process(*f.scene);
-      out.busy_ms += frame_timer.elapsed_ms();
-      own_core.reset();
-      out.frames.push_back(std::move(frame_out));
-      lk.lock();
-      --remaining;
-      if (!q.empty()) ready.push_back(sid);
-      // Wake peers: a stream became ready again, or the run just drained.
+      if (!closed.empty()) {
+        // Serve the closed bucket whose oldest frame parked first.  Its
+        // streams are owned by this worker until their frames are done.
+        Bucket batch = std::move(closed.begin()->second);
+        closed.erase(closed.begin());
+        const int nb = static_cast<int>(batch.size());
+        parked -= nb;
+        BatchSchedulerStats& st = result.batch_stats;
+        st.frames += nb;
+        if (max_batch == 1 || (nb == 1 && holding == 1)) {
+          ++st.single_fallbacks;
+        } else {
+          ++st.batches;
+          ++st.batch_size_hist[static_cast<std::size_t>(nb)];
+        }
+        lk.unlock();
+        std::vector<AdaScalePipeline::StagedFrame*> frames;
+        frames.reserve(batch.size());
+        for (Parked& p : batch) frames.push_back(&p.frame);
+        // A frame served alone keeps the inline rule above; a batch of
+        // several fans out, as its workers may be parked, not busy.
+        std::optional<InlineKernelScope> own_core;
+        if (nb == 1 &&
+            result.streams[static_cast<std::size_t>(batch[0].sid)]
+                    .frames.size() < inline_depth)
+          own_core.emplace();
+        Timer batch_timer;
+        AdaScalePipeline::serve_backbone(frames.data(), nb);
+        const double share_ms = batch_timer.elapsed_ms() / nb;
+        own_core.reset();
+        for (Parked& p : batch) {
+          StreamOutput& out = result.streams[static_cast<std::size_t>(p.sid)];
+          out.busy_ms += share_ms;
+          out.frames.push_back(std::move(p.frame.out));
+        }
+        lk.lock();
+        for (const Parked& p : batch) frame_done(p.sid);
+      } else {
+        const int sid = ready.front();
+        ready.pop_front();
+        // This worker now exclusively owns stream `sid`: its queue,
+        // pipeline and output slot are untouched by anyone else until it
+        // is returned to the deque or parked (the mutex hand-off orders
+        // the memory).
+        ArrivalQueue& q = queues[static_cast<std::size_t>(sid)];
+        Stream& stream = *streams_[static_cast<std::size_t>(sid)];
+        StreamOutput& out = result.streams[static_cast<std::size_t>(sid)];
+        lk.unlock();
+        const AdmittedFrame f = q.pop();
+        if (f.snippet_start) stream.pipeline->reset();
+        std::optional<InlineKernelScope> own_core;
+        if (out.frames.size() < inline_depth) own_core.emplace();
+        Timer frame_timer;
+        AdaScalePipeline::StagedFrame staged =
+            stream.pipeline->stage(*f.scene);
+        out.busy_ms += frame_timer.elapsed_ms();
+        own_core.reset();
+        const bool done = !staged.needs_backbone;  // a DFF warp frame
+        if (done) out.frames.push_back(std::move(staged.out));
+        lk.lock();
+        if (done) {
+          frame_done(sid);
+        } else {
+          const auto key = std::make_tuple(
+              static_cast<const ModelPool*>(stream.pipeline->pool()),
+              staged.image.h(), staged.image.w());
+          auto it = open.try_emplace(key).first;
+          it->second.push_back(Parked{sid, park_seq++, std::move(staged)});
+          ++parked;
+          if (static_cast<int>(it->second.size()) >= max_batch)
+            close_bucket(it);
+        }
+      }
+      close_if_all_parked();
+      // Wake peers: a stream became ready again, a bucket closed, or the
+      // run just drained.
       cv.notify_all();
     }
   };
@@ -263,6 +322,11 @@ MultiStreamResult MultiStreamRunner::run_table(
   return result;
 }
 
+MultiStreamResult MultiStreamRunner::run_table(
+    const std::vector<const Snippet*>& jobs, const StreamTableConfig& cfg) {
+  return drain(jobs, cfg, 1);
+}
+
 MultiStreamResult MultiStreamRunner::run(
     const std::vector<const Snippet*>& jobs) {
   return run_table(jobs, StreamTableConfig{});
@@ -277,35 +341,10 @@ MultiStreamResult MultiStreamRunner::run_serial(
 
 MultiStreamResult MultiStreamRunner::run_batched(
     const std::vector<const Snippet*>& jobs, const BatchSchedulerConfig& cfg) {
-  // The scheduler's contexts are built from stream 0's policy pool, whose
-  // contexts alias the same master weights as every other pool — any batch
-  // composition therefore produces the same bits as per-stream execution.
-  // That only holds when every stream resolves the same policies as stream
-  // 0; heterogeneous per-stream policies (set_stream_policy) would be
-  // served silently at stream 0's precision, so fail loudly instead.
-  for (const auto& s : streams_) {
-    if (s->det_policy.resolve() != streams_[0]->det_policy.resolve() ||
-        s->reg_policy.resolve() != streams_[0]->reg_policy.resolve()) {
-      std::fprintf(stderr,
-                   "MultiStreamRunner::run_batched: streams have "
-                   "heterogeneous execution policies — batching shares "
-                   "contexts cloned from stream 0's pool and cannot honor "
-                   "them; use run()/run_table() for mixed-policy streams\n");
-      std::abort();
-    }
-  }
-  // DFF key frames want features back (heads run in-stream on the cached
-  // copy); warp frames never reach the scheduler at all.
-  BatchSchedulerConfig scfg = cfg;
-  if (dff_enabled_) scfg.features_only = true;
-  // Scheduler contexts join the shared-weights regime: cloned (weight-
-  // aliased) from a stream-0-policy pool context, so batching adds scratch
-  // state but no resident weight bytes.
-  scfg.share_context_weights = true;
-  ContextPool* pool =
-      table_->pool_for(streams_[0]->det_policy, streams_[0]->reg_policy);
-  BatchScheduler scheduler(pool->detector_at(0), pool->regressor_at(0), scfg);
-  return run_impl(jobs, &scheduler);
+  cfg.validate();
+  MultiStreamResult result = drain(jobs, StreamTableConfig{}, cfg.max_batch);
+  result.batched = true;
+  return result;
 }
 
 void TimedRunConfig::validate() const {
@@ -333,6 +372,28 @@ TimedRunResult MultiStreamRunner::run_timed(
     std::abort();
   }
   cfg.validate();
+  // Schedules cross a trust boundary: a NaN time never falls due and would
+  // spin the loop, a time earlier than its predecessor is admitted late and
+  // charged latency it never queued, and a null scene cannot be served.
+  for (std::size_t s = 0; s < schedules.size(); ++s) {
+    for (std::size_t i = 0; i < schedules[s].size(); ++i) {
+      const FrameArrival& a = schedules[s][i];
+      const char* why = nullptr;
+      if (!std::isfinite(a.ms))
+        why = "arrival time is not finite";
+      else if (i > 0 && a.ms < schedules[s][i - 1].ms)
+        why = "arrival time is earlier than the frame before it";
+      else if (cfg.run_inference && a.scene == nullptr)
+        why = "scene is null";
+      if (why != nullptr) {
+        std::fprintf(stderr,
+                     "MultiStreamRunner::run_timed: stream %zu frame %zu: "
+                     "%s\n",
+                     s, i, why);
+        std::abort();
+      }
+    }
+  }
   const std::size_t n = streams_.size();
 
   TimedRunResult result;

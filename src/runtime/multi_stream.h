@@ -10,10 +10,11 @@
 // plus an ArrivalQueue when frames are scheduled) and all model compute
 // flows through a shared ModelTable (runtime/stream_table.h) — one resident
 // master weight copy, leased per frame by a small pool of weight-aliased
-// contexts.  run()/run_serial()/run_table() drain the table with a worker
-// pool that dispatches one ready stream at a time; run_timed() drives the
-// same entries from a virtual-time event loop; run_batched() routes frames
-// through a cross-stream BatchScheduler.  1k+ streams therefore cost 1k
+// contexts.  run()/run_serial()/run_table()/run_batched() drain the table
+// with one worker loop that dispatches one ready stream at a time and, for
+// run_batched(), parks rendered frames in same-scale buckets so several
+// streams share one backbone forward; run_timed() drives the same entries
+// from a virtual-time event loop.  1k+ streams therefore cost 1k
 // contexts-worth of kilobyte state, not 1k model clones.
 //
 // Job assignment is static round-robin (stream s takes jobs s, s+N, ...), so
@@ -28,7 +29,6 @@
 #include "adascale/pipeline.h"
 #include "data/video.h"
 #include "runtime/admission.h"
-#include "runtime/batch_scheduler.h"
 #include "runtime/fault_injection.h"
 #include "runtime/overload_controller.h"
 #include "runtime/stream_table.h"
@@ -42,6 +42,32 @@ struct StreamOutput {
   int stream_id = 0;
   std::vector<AdaFrameOutput> frames;  ///< all frames of all jobs, in order
   double busy_ms = 0.0;                ///< time this stream spent processing
+};
+
+/// Batch formation knob of run_batched.
+struct BatchSchedulerConfig {
+  int max_batch = 8;  ///< close a bucket at this many frames
+
+  /// Aborts loudly on a non-positive max_batch instead of a silent assert
+  /// that vanishes in Release builds.
+  void validate() const;
+};
+
+/// Batch counters of a run_batched drain.  Only backbone frames count: a
+/// DFF warp frame never joins a batch.
+struct BatchSchedulerStats {
+  long frames = 0;           ///< backbone frames served
+  long batches = 0;          ///< batched forwards executed (incl. size-1)
+  /// Frames served alone because max_batch is 1 or because no other
+  /// stream still held frames; every other frame is in batch_size_hist.
+  long single_fallbacks = 0;
+  std::vector<long> batch_size_hist;  ///< index b = batches of size b
+
+  double mean_batch() const {
+    return batches > 0 ? static_cast<double>(frames - single_fallbacks) /
+                             static_cast<double>(batches)
+                       : 0.0;
+  }
 };
 
 /// Aggregate result of a multi-stream run.
@@ -174,26 +200,19 @@ class MultiStreamRunner {
   /// with no shared backend state to race on.  A stream's policy pair
   /// selects which ModelTable context pool its frames lease from (pools
   /// are built on first use; the weights underneath stay one shared copy).
-  /// By default every stream uses the prototypes' policies.  run(),
-  /// run_serial(), run_table() and run_timed() honor per-stream policies;
-  /// run_batched() coalesces frames from *different* streams onto shared
-  /// contexts, so it requires all streams to resolve identical policies
-  /// and aborts loudly otherwise (per-model mixed precision — int8
-  /// detector + fp32 regressor — is fine: it rides the models, not the
-  /// streams).  Setup-time only: must not race a running table.
+  /// By default every stream uses the prototypes' policies.  Every run
+  /// mode honors per-stream policies; run_batched() batches only frames
+  /// whose streams share a pool.  Setup-time only: must not race a running
+  /// table.
   void set_stream_policy(int stream, const ExecutionPolicy& detector_policy,
                          const ExecutionPolicy& regressor_policy);
 
   /// Enables DFF temporal reuse (keyframe/warp serving) on every stream's
-  /// pipeline and resets their per-stream contexts.  Applies to all three
-  /// execution modes; under run_batched() the scheduler automatically runs
-  /// in features_only mode — key frames join cross-stream same-scale
-  /// batches, warp frames never reach the scheduler (flow + warp + heads
-  /// run on the stream's own models, no backbone at all).
+  /// pipeline and resets their per-stream contexts.  Applies to every run
+  /// mode; under run_batched() key frames join cross-stream same-scale
+  /// batches, while warp frames finish in their first half (flow + warp +
+  /// heads, no backbone at all) and never join one.
   void set_dff(const DffServingConfig& cfg);
-
-  /// Whether set_dff has been called.
-  bool dff_enabled() const { return dff_enabled_; }
 
   /// Caps every stream's target scale at `cap` (0 lifts the cap) — the
   /// overload controller's first degradation rung, fanned out to each
@@ -205,7 +224,7 @@ class MultiStreamRunner {
   /// Processes every snippet through the stream-state table: job j goes to
   /// stream j % num_streams, each stream's frames land in its ArrivalQueue
   /// (all due immediately), and cfg.workers pooled threads repeatedly pick
-  /// a ready stream, serve exactly ONE frame on a leased context, and
+  /// a ready stream, serve exactly ONE frame on leased contexts, and
   /// return the stream to the ready set.  A stream is owned by at most one
   /// worker at a time, so Algorithm 1's within-stream ordering — and
   /// therefore bit-identical per-stream output regardless of worker count
@@ -229,14 +248,19 @@ class MultiStreamRunner {
   /// per-stream outputs to run().
   MultiStreamResult run_serial(const std::vector<const Snippet*>& jobs);
 
-  /// Same jobs and static round-robin assignment, but every stream routes
-  /// its per-frame detection through a shared BatchScheduler: frames from
-  /// different streams that currently target the same scale share ONE
-  /// backbone forward (one sgemm per layer for the whole batch).  Because
-  /// the batched kernels are bit-identical to the single-image ones,
-  /// per-stream outputs are memcmp-equal to run()/run_serial() no matter
-  /// how frames happened to batch; timing fields (detect_ms/regressor_ms)
-  /// are amortized per frame.  Scheduler counters land in
+  /// run() with cross-stream batching: a worker renders a ready stream's
+  /// frame (AdaScalePipeline::stage) and parks it in a bucket keyed by the
+  /// stream's pool and the rendered size, then goes on serving other
+  /// streams.  A bucket closes when it holds cfg.max_batch frames; when
+  /// every stream that still holds frames is parked, every open bucket
+  /// closes.  Workers serve closed buckets first, oldest parked frame
+  /// first, each as ONE backbone forward (AdaScalePipeline::serve_backbone)
+  /// on a context leased from the streams' own pool.  Because the batched
+  /// kernels are bit-identical to the single-image ones, per-stream outputs
+  /// are memcmp-equal to run()/run_serial() no matter how frames happened
+  /// to batch; timing fields (detect_ms/regressor_ms) are amortized per
+  /// frame.  A frame served alone keeps run_table's inline-kernel rule; a
+  /// batch of several fans out to the kernel pool.  Counters land in
   /// MultiStreamResult::batch_stats.
   MultiStreamResult run_batched(const std::vector<const Snippet*>& jobs,
                                 const BatchSchedulerConfig& cfg = {});
@@ -251,7 +275,9 @@ class MultiStreamRunner {
   /// dependence on machine speed or ADASCALE_THREADS.
   ///
   /// `schedules` must have exactly one (possibly empty) schedule per
-  /// stream, each sorted by arrival time.  `controller` is optional: null
+  /// stream, each with finite, non-decreasing arrival times and, when
+  /// cfg.run_inference, non-null scenes; anything else aborts naming the
+  /// stream and frame.  `controller` is optional: null
   /// serves as configured no matter the backlog (the SLO baseline); with a
   /// controller the runner feeds it one observation per loop tick (worst
   /// queue depth, worst head-of-line slack) and enforces whatever rung it
@@ -265,17 +291,13 @@ class MultiStreamRunner {
 
  private:
   struct Stream;
-  /// Thread-per-stream orchestration, kept ONLY for run_batched: the
-  /// scheduler's leader election needs every live stream blocked inside
-  /// submit() for its all-blocked flush trigger, which a one-frame-at-a-
-  /// time table worker cannot provide.  Frames route through the scheduler
-  /// via process_via.
-  MultiStreamResult run_impl(const std::vector<const Snippet*>& jobs,
-                             BatchScheduler* scheduler);
+  /// The one drain loop behind run_table (max_batch 1: every frame is
+  /// served by the worker that rendered it) and run_batched.
+  MultiStreamResult drain(const std::vector<const Snippet*>& jobs,
+                          const StreamTableConfig& cfg, int max_batch);
 
   std::vector<std::unique_ptr<Stream>> streams_;
   std::unique_ptr<ModelTable> table_;  ///< shared weights + context pools
-  bool dff_enabled_ = false;
 };
 
 }  // namespace ada

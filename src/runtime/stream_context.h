@@ -4,10 +4,8 @@
 // Serving at thousands-of-streams scale needs model state cut in two:
 //
 //   * shared, immutable after load: weights, quantization tables, execution
-//     policies and cached ExecutionPlans.  One copy per policy, reused by
-//     every stream (today via clone_detector/clone_regressor onto streams
-//     and BatchScheduler contexts; the planned stream-state-table server
-//     will share a single copy outright).
+//     policies and cached ExecutionPlans.  One master copy, aliased by the
+//     weight-sharing contexts of every policy pool (runtime/stream_table.h).
 //
 //   * per-stream, tiny, mutable: everything a stream's past frames imprint
 //     on its future ones.  That is this struct — the Algorithm-1 target
@@ -15,7 +13,7 @@
 //     grayscale key at feature resolution).
 //
 // AdaScalePipeline owns exactly one StreamContext; MultiStreamRunner holds
-// one pipeline (hence one context) per stream; BatchScheduler contexts hold
+// one pipeline (hence one context) per stream; pooled model contexts hold
 // NO StreamContext — they are pure compute resources (model clones), which
 // is what makes any batch composition bit-identical to serial execution.
 #pragma once

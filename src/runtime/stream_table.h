@@ -1,6 +1,6 @@
 // Stream-state table: many streams, few models.
 //
-// The thread-per-stream runner couples two things that scale differently —
+// A thread-per-stream runner couples two things that scale differently —
 // per-stream STATE (a StreamContext plus an arrival queue: kilobytes) and
 // per-stream COMPUTE (a detector/regressor pair: megabytes, and a thread).
 // At 1k+ streams the coupling is fatal: 1k model clones do not fit in
@@ -19,12 +19,13 @@
 // private model.
 //
 // AdaScalePipeline reaches the pooled contexts through the ModelPool
-// interface (adascale/pipeline.h): each frame leases a context at its
-// first model touch and returns it afterwards, so 1000 streams can be
-// served, in any interleaving, by e.g. 4 resident contexts.  WHICH context
-// serves a frame cannot affect the bits — contexts are bit-identical by
-// construction — which is what keeps the table runner memcmp-equal to the
-// serial runner (tests/stream_table_test.cpp).
+// interface (adascale/pipeline.h): each half of a frame leases a context
+// at its first model touch and returns it when the half ends, so 1000
+// streams can be served, in any interleaving, by e.g. 4 resident
+// contexts.  WHICH context serves a frame cannot affect the bits —
+// contexts are bit-identical by construction — which is what keeps the
+// table runner memcmp-equal to the serial runner
+// (tests/stream_table_test.cpp).
 #pragma once
 
 #include <condition_variable>
@@ -114,8 +115,8 @@ class ModelTable {
   ContextPool* pool_for(const ExecutionPolicy& detector_policy,
                         const ExecutionPolicy& regressor_policy);
 
-  /// The master copies (prototype-equivalent; used to build schedulers and
-  /// as the pipelines' constructor models — untouched while pools serve).
+  /// The master copies (prototype-equivalent; the pipelines' constructor
+  /// models — untouched while pools serve).
   Detector* master_detector() { return master_det_.get(); }
   ScaleRegressor* master_regressor() { return master_reg_.get(); }
 

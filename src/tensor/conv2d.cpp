@@ -174,7 +174,7 @@ void conv2d_forward_int8(const ConvSpec& spec, const Tensor& x,
 
   // Batch: images side by side along the GEMM N axis, then the oc-major
   // product scattered back to NCHW; integer accumulation is exact, so the
-  // batch scheduler composes with INT8 unchanged.
+  // cross-stream batching composes with INT8 unchanged.
   const std::size_t total = static_cast<std::size_t>(batch) * cells;
   std::uint8_t* cols =
       frame.alloc_as<std::uint8_t>(static_cast<std::size_t>(patch) * total);

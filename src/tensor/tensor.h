@@ -67,8 +67,8 @@ class Tensor {
   static Tensor vec(int len) { return Tensor(1, len, 1, 1); }
 
   /// Stacks same-shaped (1,C,H,W) images into one (N,C,H,W) batch tensor.
-  /// This is how the batch scheduler coalesces frames that target the same
-  /// scale into a single backbone forward.
+  /// This is how cross-stream batching (AdaScalePipeline::serve_backbone)
+  /// coalesces frames that target the same scale into one backbone forward.
   static Tensor batch_of(const std::vector<const Tensor*>& images);
 
   /// Copy of image `n` as a (1,C,H,W) tensor (batch → single-image).

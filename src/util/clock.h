@@ -1,7 +1,7 @@
 // Injectable time source for the serving runtime.
 //
 // Every queueing decision in the overload-resilience layer — admission
-// timestamps, deadline slack, batch-flush timeouts, controller hysteresis —
+// timestamps, deadline slack, controller hysteresis —
 // reads time through this interface instead of a wall clock.  Production
 // code injects WallClock (or nothing: components default to it); tests and
 // the virtual-time load generator inject ManualClock and advance it
@@ -39,11 +39,10 @@ class WallClock : public Clock {
 
 /// Hand-driven time for tests and virtual-time simulation.  Monotonic by
 /// construction: advance() ignores negative steps and advance_to() never
-/// moves backwards.  The stored time is atomic: the advance-then-poke
-/// pattern against BatchScheduler has one thread driving the clock while
-/// waiting leader threads re-read it (only one thread may *write*;
-/// relaxed ordering suffices because the poke's mutex publishes the new
-/// time to the waiters).
+/// moves backwards.  The stored time is atomic, so other threads may read
+/// it while one thread drives it — a table drain's arrival queues read one
+/// clock from every worker (only one thread may *write*; relaxed ordering
+/// suffices because the readers' own mutex hand-offs order the rest).
 class ManualClock : public Clock {
  public:
   explicit ManualClock(double start_ms = 0.0) : now_(start_ms) {}

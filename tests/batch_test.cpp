@@ -2,8 +2,8 @@
 // conv2d_forward, linear_forward, Detector::detect_batch and
 // ScaleRegressor::predict_batch must produce, for every image of a batch,
 // exactly the bits the single-image call produces.  This is the property
-// the cross-stream BatchScheduler's determinism rests on — batch
-// composition must never leak into results.
+// cross-stream batching's determinism rests on (MultiStreamRunner::
+// run_batched) — batch composition must never leak into results.
 #include <gtest/gtest.h>
 
 #include <thread>

@@ -297,9 +297,9 @@ TEST_F(DffServingTest, KeyframeBehaviours) {
 
 TEST_F(DffServingTest, BatchedDffMatchesSerialDff) {
   // The core serving contract: run_batched with DFF — key frames coalesced
-  // across streams by the features_only scheduler, warp frames bypassing it
-  // entirely — produces the same bits as run_serial, for the default
-  // adaptive policy with every trigger armed.
+  // across streams into shared backbone forwards, warp frames finishing in
+  // their first half — produces the same bits as run_serial, for the
+  // default adaptive policy with every trigger armed.
   MultiStreamRunner batched(detector_.get(), regressor_.get(), &renderer_,
                             dataset_.scale_policy(), ScaleSet::reg_default(),
                             4, /*init_scale=*/600, /*snap_scales=*/true);
@@ -312,13 +312,11 @@ TEST_F(DffServingTest, BatchedDffMatchesSerialDff) {
   const auto jobs = val_jobs();
   BatchSchedulerConfig cfg;
   cfg.max_batch = 4;
-  cfg.contexts = 2;
-  cfg.max_wait_ms = 2.0;
   const MultiStreamResult bat = batched.run_batched(jobs, cfg);
   const MultiStreamResult ref = serial.run_serial(jobs);
   expect_equal_outputs(bat, ref);
 
-  // Only key frames reach the scheduler; warp frames bypass the backbone.
+  // Only key frames join batches; warp frames bypass the backbone.
   long keys = 0;
   for (const StreamOutput& s : bat.streams)
     for (const AdaFrameOutput& f : s.frames)
@@ -329,10 +327,12 @@ TEST_F(DffServingTest, BatchedDffMatchesSerialDff) {
 
 TEST_F(DffServingTest, BatchedDffOddKnobsStillMatchSerial) {
   // Awkward batch composition — max_batch not dividing the stream count,
-  // one context, a tiny wait window — must not change a single bit.
+  // one context per policy shared by batches and warp frames — must not
+  // change a single bit.
   MultiStreamRunner batched(detector_.get(), regressor_.get(), &renderer_,
                             dataset_.scale_policy(), ScaleSet::reg_default(),
-                            4, /*init_scale=*/600, /*snap_scales=*/true);
+                            4, /*init_scale=*/600, /*snap_scales=*/true,
+                            /*contexts_per_policy=*/1);
   MultiStreamRunner serial(detector_.get(), regressor_.get(), &renderer_,
                            dataset_.scale_policy(), ScaleSet::reg_default(),
                            4, /*init_scale=*/600, /*snap_scales=*/true);
@@ -345,10 +345,36 @@ TEST_F(DffServingTest, BatchedDffOddKnobsStillMatchSerial) {
   const auto jobs = val_jobs();
   BatchSchedulerConfig cfg;
   cfg.max_batch = 3;
-  cfg.contexts = 1;
-  cfg.max_wait_ms = 0.5;
   expect_equal_outputs(batched.run_batched(jobs, cfg),
                        serial.run_serial(jobs));
+}
+
+TEST_F(DffServingTest, BatchedDffUnevenDrainMatchesSerial) {
+  // 5 snippets over 4 streams: stream 0 holds a second snippet after the
+  // others run dry, so the tail's key frames can only close their buckets
+  // through the all-parked rule as the other streams stop counting.  Every
+  // frame must be served, with the serial bits.
+  MultiStreamRunner batched(detector_.get(), regressor_.get(), &renderer_,
+                            dataset_.scale_policy(), ScaleSet::reg_default(),
+                            4, /*init_scale=*/600, /*snap_scales=*/true);
+  MultiStreamRunner serial(detector_.get(), regressor_.get(), &renderer_,
+                           dataset_.scale_policy(), ScaleSet::reg_default(),
+                           4, /*init_scale=*/600, /*snap_scales=*/true);
+  DffServingConfig scfg;  // default: adaptive, adascale, scale-jump on
+  batched.set_dff(scfg);
+  serial.set_dff(scfg);
+  const auto snippets = val_jobs();
+  ASSERT_FALSE(snippets.empty());
+  std::vector<const Snippet*> jobs;
+  for (std::size_t j = 0; j < 5; ++j)
+    jobs.push_back(snippets[j % snippets.size()]);
+  long expected = 0;
+  for (const Snippet* j : jobs) expected += j->num_frames();
+  BatchSchedulerConfig cfg;
+  cfg.max_batch = 3;
+  const MultiStreamResult bat = batched.run_batched(jobs, cfg);
+  EXPECT_EQ(bat.total_frames, expected);
+  expect_equal_outputs(bat, serial.run_serial(jobs));
 }
 
 TEST_F(DffServingTest, HeterogeneousPoliciesConcurrentMatchesSerial) {

@@ -250,9 +250,9 @@ TEST_F(ExecPolicyModelTest, ConcurrentStreamsWithDifferentPoliciesMatchSerial) {
 
 TEST_F(ExecPolicyModelTest, MixedPrecisionBatchedServingMatchesSerial) {
   // The acceptance-bar configuration: int8 detector policy + fp32
-  // regressor policy on the *prototypes*, inherited by every stream clone
-  // and BatchScheduler context.  run_batched must be memcmp-equal to
-  // run_serial under any batch composition.
+  // regressor policy on the *prototypes*, inherited by every pool
+  // context.  run_batched must be memcmp-equal to run_serial under any
+  // batch composition.
   BackendGuard guard;
   set_gemm_backend(GemmBackend::kPacked);
   quantize_models(render(600));

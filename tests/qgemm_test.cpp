@@ -725,7 +725,7 @@ TEST(DetectorInt8Test, CloneInheritsQuantization) {
 }
 
 TEST(DetectorInt8Test, BatchedDetectBitIdenticalToSingle) {
-  // The batch scheduler composes with INT8 unchanged because quantization
+  // Cross-stream batching composes with INT8 unchanged because quantization
   // lives below the conv2d_forward seam: a quantized detect_batch must be
   // bit-identical to per-image quantized detect()s, for any batch mix.
   Rng rng(21);

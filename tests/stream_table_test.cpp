@@ -1,6 +1,6 @@
 // Stream-state-table serving: the event-driven table runner must be a pure
 // execution-strategy change — per-stream outputs byte-identical to serial,
-// thread-per-stream, batched and (no-drop) timed execution, under every
+// threaded, batched and (no-drop) timed execution, under every
 // backend default, heterogeneous per-stream policies and DFF — while the
 // shared-weights split keeps ONE resident weight copy no matter how many
 // streams or contexts exist.  A seeded randomized-replay layer locks down
@@ -250,6 +250,11 @@ TEST_F(StreamTableTest, HeterogeneousStreamPoliciesMatchPerPolicySerial) {
   tcfg.workers = 2;
   const MultiStreamResult par = mixed->run_table(jobs, tcfg);
   EXPECT_EQ(mixed->model_table()->pool_count(), 3u);  // default + 2 pinned
+  // run_batched too: buckets key on the stream's pool, so frames of the
+  // two policies never share a forward.
+  BatchSchedulerConfig bcfg;
+  bcfg.max_batch = 2;
+  const MultiStreamResult bat = mixed->run_batched(jobs, bcfg);
 
   const ExecutionPolicy det_pol[2] = {ExecutionPolicy::int8(),
                                       ExecutionPolicy::reference()};
@@ -262,13 +267,16 @@ TEST_F(StreamTableTest, HeterogeneousStreamPoliciesMatchPerPolicySerial) {
     auto single = make_runner(1);
     single->set_stream_policy(0, det_pol[s], reg_pol[s]);
     const MultiStreamResult ref = single->run_serial(share);
-    std::string got;
-    for (const AdaFrameOutput& f : par.streams[static_cast<std::size_t>(s)].frames)
-      append_frame(&got, f);
     std::string want;
     for (const AdaFrameOutput& f : ref.streams[0].frames)
       append_frame(&want, f);
-    EXPECT_EQ(got, want) << "stream " << s;
+    for (const MultiStreamResult* run : {&par, &bat}) {
+      std::string got;
+      for (const AdaFrameOutput& f :
+           run->streams[static_cast<std::size_t>(s)].frames)
+        append_frame(&got, f);
+      EXPECT_EQ(got, want) << "stream " << s << (run == &bat ? " batched" : "");
+    }
   }
 }
 

@@ -3,7 +3,7 @@
 // Emits BENCH_kernels.json (schema v8): per-conv-shape GFLOP/s and ns/call
 // for all three GEMM backends (packed / reference / int8), end-to-end
 // detector forward latency / fps at each nominal scale, multi-stream
-// serving throughput — unbatched vs the cross-stream batch scheduler — the
+// serving throughput — unbatched vs cross-stream batching (run_batched) — the
 // INT8 accuracy cost: fixed-600 mAP of the trained detector under fp32
 // vs the quantized path (the `quantized` section; uses the model cache, so
 // the first run trains for a few minutes and later runs load instantly) —
@@ -179,7 +179,7 @@ void emit_detector_scales(JsonWriter* jw, Detector* det,
 }
 
 /// Multi-stream serving: aggregate FPS of the unbatched table loop (run())
-/// vs the batch scheduler at several max_batch values, identical jobs.
+/// vs run_batched at several max_batch values, identical jobs.
 /// Best-of-two per mode damps scheduling noise.
 void emit_multi_stream(JsonWriter* jw, Detector* det, const Dataset& dataset) {
   const Renderer renderer = dataset.make_renderer();
@@ -197,7 +197,7 @@ void emit_multi_stream(JsonWriter* jw, Detector* det, const Dataset& dataset) {
 
   // Scales snap to the regressor set in BOTH modes (identical work): raw
   // Algorithm-1 decode yields arbitrary integer scales that almost never
-  // coincide across streams, so without snapping the scheduler cannot form
+  // coincide across streams, so without snapping run_batched cannot form
   // batches at all.
   const int streams = 4;
   MultiStreamRunner runner(det, &regressor, &renderer, dataset.scale_policy(),
