@@ -13,7 +13,6 @@
 #include "data/dataset.h"
 #include "detection/detector.h"
 #include "detection/nms.h"
-#include "runtime/exec_plan.h"
 #include "tensor/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/image_ops.h"
@@ -118,16 +117,8 @@ BENCHMARK(BM_BackboneForward600_Int8);
 // The two vectorized int8 micro-kernel bodies side by side on the same
 // machine (tensor/qgemm.h): _Int8Vnni runs the vpdpbusd quad kernel,
 // _Int8Maddwd the vpmaddwd s16-pair kernel an AVX-512 CPU without VNNI
-// would dispatch.  The autotuner is pinned to int8 (deterministic fake
-// bench, first candidate wins) so each row times the kernel it names
-// rather than a measured fallback; rows the CPU cannot execute are
-// skipped.  Same nominal-MAC gflops counter as the other backbone rows.
-double pin_int8_bench(const std::function<void()>& run) {
-  run();
-  static int calls = 0;
-  return static_cast<double>(++calls);  // increasing: int8 (first) wins
-}
-
+// would dispatch; rows the CPU cannot execute are skipped.  Same
+// nominal-MAC gflops counter as the other backbone rows.
 void backbone_int8_at_isa(benchmark::State& state, KernelIsa isa) {
   if (static_cast<int>(kernel_isa_native()) < static_cast<int>(isa)) {
     state.SkipWithError("CPU lacks this ISA level");
@@ -135,11 +126,7 @@ void backbone_int8_at_isa(benchmark::State& state, KernelIsa isa) {
   }
   quantize_fixture_detector();
   set_qgemm_isa(isa);
-  set_autotune_bench(pin_int8_bench);
-  clear_autotune_cache();
   backbone_forward_600(state, GemmBackend::kInt8);
-  set_autotune_bench(nullptr);
-  clear_autotune_cache();
   clear_qgemm_isa();
 }
 

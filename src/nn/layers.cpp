@@ -107,36 +107,6 @@ void Conv2dLayer::plan_forward(PlanShape* shape, ExecutionPlan* plan) const {
   step.in = *shape;
   step.out = PlanShape{shape->n, spec_.out_channels, spec_.out_dim(shape->h),
                        spec_.out_dim(shape->w)};
-  if (step.kernel == KernelKind::kInt8) {
-    // Measured per-layer fallback: race the int8 kernel against packed
-    // fp32 on this exact geometry and plan the winner.  The key excludes
-    // the batch size and the probe runs at n=1, so batched and per-image
-    // plans (and every clone in the process) agree — see
-    // runtime/exec_plan.h for the determinism contract.
-    char key[128];
-    std::snprintf(key, sizeof(key),
-                  "conv oc=%d ic=%d k=%d s=%d p=%d d=%d relu=%d h=%d w=%d",
-                  spec_.out_channels, spec_.in_channels, spec_.kernel,
-                  spec_.stride, spec_.pad, spec_.dilation, fuse_relu_ ? 1 : 0,
-                  shape->h, shape->w);
-    // Zero-filled n=1 probe: GEMM cost is shape-, not value-dependent.
-    Tensor probe(1, spec_.in_channels, shape->h, shape->w);
-    Tensor out;
-    const AutotuneChoice& c = autotune_choice(
-        key,
-        [&] {
-          conv2d_forward_int8(spec_, probe, quant_.qw, b_->value, &out,
-                              fuse_relu_);
-        },
-        [&] {
-          conv2d_forward(spec_, probe, w_->value, b_->value, &out, fuse_relu_,
-                         GemmBackend::kPacked);
-        });
-    step.kernel = c.kernel;
-    step.autotuned = true;
-    step.tuned_int8_ns = c.int8_ns;
-    step.tuned_fp32_ns = c.fp32_ns;
-  }
   step.workspace_floats = conv2d_forward_workspace_floats(
       spec_, shape->n, shape->h, shape->w, step.kernel);
   step.macs = static_cast<long long>(shape->n) *
@@ -368,26 +338,6 @@ void LinearLayer::plan_forward(PlanShape* shape, ExecutionPlan* plan) const {
   step.kernel = resolve_kernel();
   step.in = *shape;
   step.out = PlanShape{shape->n, w_->value.n(), 1, 1};
-  if (step.kernel == KernelKind::kInt8) {
-    // Same measured per-layer fallback as Conv2dLayer::plan_forward: the
-    // tiny head GEMMs are exactly where int8 can lose to packed fp32.
-    char key[64];
-    std::snprintf(key, sizeof(key), "linear in=%d out=%d", w_->value.c(),
-                  w_->value.n());
-    Tensor probe(1, w_->value.c(), 1, 1);
-    Tensor out;
-    const AutotuneChoice& c = autotune_choice(
-        key,
-        [&] { linear_forward_int8(probe, quant_.qw, b_->value, &out); },
-        [&] {
-          linear_forward(probe, w_->value, b_->value, &out,
-                         GemmBackend::kPacked);
-        });
-    step.kernel = c.kernel;
-    step.autotuned = true;
-    step.tuned_int8_ns = c.int8_ns;
-    step.tuned_fp32_ns = c.fp32_ns;
-  }
   step.workspace_floats = linear_forward_workspace_floats(
       shape->n, w_->value.c(), w_->value.n(), step.kernel);
   step.macs = static_cast<long long>(shape->n) * w_->value.n() * w_->value.c();

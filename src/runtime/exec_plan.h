@@ -10,24 +10,18 @@
 // choice could change (quantize(), training-mode re-entry, policy change) —
 // so steady-state forwards do no kernel resolution and no quant-state
 // branching, and the scratch arena can be pre-sized to the plan's exact
-// peak instead of growing through warm-up.
+// peak instead of growing through warm-up.  tools/plan_dump prints them
+// (per-layer kernel, workspace bytes, MACs).
 //
-// Plans are also the inspection/auto-tuning seam: tools/plan_dump prints
-// them (per-layer kernel, workspace bytes, MACs), and the per-layer
-// autotuner below writes the *measured* winner into each step — when a
-// quantized layer plans at kInt8, plan construction races the int8 kernel
-// against packed fp32 on that exact geometry and falls back per layer
-// where int8 is slower (the tiny head GEMMs), so quantization is a speed
-// lever only where it actually is one.
-//
-// Autotune determinism: measured choices are memoized in a PROCESS-GLOBAL
-// cache keyed by layer geometry with the batch size excluded, probed once
-// at n=1 (GEMM cost is shape-, not value-dependent).  Every plan in the
-// process — batched or per-image, master model or weight-aliased clone or
-// independent instance with the same architecture — therefore runs the
-// same kernel for the same layer geometry, which keeps the
-// batched-vs-serial and master-vs-clone bit-identity contracts intact.
-// Within one process, outputs never depend on which plan got built first.
+// Kernel determinism: a step's kernel is the one the layer's eager forward
+// runs (resolve_kernel()): kInt8 wherever the layer is quantized, neither
+// training nor calibrating, and its policy resolves to the int8 backend;
+// the policy's fp32 kernel otherwise.  It is a function of the layer's
+// policy and quantization state only, never of timing, shape or batch
+// size.  Batched and per-image plans, master models and weight-aliased
+// clones, and separate processes therefore run the same kernel for the
+// same layer; and since int8 bytes do not depend on the dispatched ISA
+// (tensor/qgemm.h), neither does a quantized plan's output.
 //
 // Contract: every leaf layer contributes exactly ONE PlanStep, in forward
 // execution order; containers contribute their children's steps.  A planned
@@ -37,7 +31,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -45,8 +38,6 @@
 #include <vector>
 
 namespace ada {
-
-class Clock;
 
 /// Which kernel a planned layer step runs.  kNone marks layers with no
 /// kernel choice (pooling, activation, reshape).
@@ -70,13 +61,11 @@ struct PlanStep {
   std::size_t workspace_floats = 0;      ///< scratch-arena peak of this step
   long long macs = 0;                    ///< multiply-accumulates
 
-  // Filled when `kernel` came out of the measured int8-vs-fp32 race (the
-  // layer resolved to kInt8 and the autotuner picked the winner, possibly
-  // falling this step back to kGemmPacked).  Timings are ns per forward of
-  // the n=1 probe; plan_dump / bench_report / calibrate report them.
-  bool autotuned = false;
-  double tuned_int8_ns = 0.0;
-  double tuned_fp32_ns = 0.0;
+  // servebench is the only reader of these three: no plan step is timed
+  // or raced, so they are constants that can be neither set nor stored.
+  static constexpr bool autotuned = false;
+  static constexpr double tuned_int8_ns = 0.0;
+  static constexpr double tuned_fp32_ns = 0.0;
 };
 
 /// The full per-(model, shape, backend) plan; see file comment.
@@ -123,56 +112,9 @@ struct PlanCache {
   }
 };
 
-// ------------------------------------------------------------- autotuner
-
-/// Outcome of one measured int8-vs-fp32 kernel race for a layer geometry.
-struct AutotuneChoice {
-  KernelKind kernel = KernelKind::kInt8;  ///< the faster candidate
-  double int8_ns = 0.0;                   ///< measured int8 ns per forward
-  double fp32_ns = 0.0;                   ///< measured packed fp32 ns
-};
-
-/// Bench seam: times one already-constructed candidate closure and
-/// returns ns per run.  The default is autotune_bench_windows on a
-/// WallClock.  Tests inject a deterministic fake so fallback decisions are
-/// reproducible on any machine.
-using AutotuneBenchFn = double (*)(const std::function<void()>& run);
-
-/// The default race bench, reading `clock`: one warmup run, then windows
-/// of back-to-back runs, each at least 0.25 ms long, until at least three
-/// windows and 2 ms in all have passed.  Returns the fastest window's ns
-/// per run.  A host spike inflates only the window it lands in, so it
-/// cannot hand a layer to a kernel that is steadily slower, as it can the
-/// mean of one window.  `run` must advance `clock` (a ManualClock moves
-/// only when told to).
-double autotune_bench_windows(const std::function<void()>& run,
-                              const Clock& clock);
-
-/// Installs a bench override (nullptr restores the default).  Setup-time
-/// only: concurrent plan builds read it racily but benignly.
-void set_autotune_bench(AutotuneBenchFn fn);
-
-/// The memoized measured winner for `key` (layer type + geometry, batch
-/// size EXCLUDED — see file comment).  On a cache miss, times run_int8
-/// then run_fp32 under the bench seam and records the faster kernel; on a
-/// hit, the closures are not invoked.  The race runs under an
-/// InlineKernelScope (runtime/thread_pool.h): every kernel runs on the
-/// calling thread, as table serving runs them once its workers cover the
-/// cores, so the race times the width the kernels are served at.
-/// Thread-safe; the returned reference stays valid for the process
-/// lifetime (map nodes never relocate and clear_autotune_cache is a
-/// test/setup-time operation).
-const AutotuneChoice& autotune_choice(const std::string& key,
-                                      const std::function<void()>& run_int8,
-                                      const std::function<void()>& run_fp32);
-
-/// Drops all memoized choices so the next plan build re-measures.  Tests
-/// and benches only — serving processes keep the cache for life, which is
-/// what makes every plan in the process agree on kernel choices.
-void clear_autotune_cache();
-
-/// Number of memoized (layer, geometry) choices.
-std::size_t autotune_cache_size();
+/// A no-op for servebench, its only caller: plans keep no process-global
+/// state to clear.
+inline void clear_autotune_cache() {}
 
 /// Walking cursor over a plan during a planned forward.  Each leaf layer
 /// takes exactly one step; the order-by-construction contract makes this a

@@ -30,6 +30,23 @@ bool load_floats(const std::string& path, std::vector<float>* out) {
   bool ok = std::fread(&magic, sizeof(magic), 1, f) == 1 &&
             std::fread(&count, sizeof(count), 1, f) == 1 && magic == kMagic;
   if (ok) {
+    // The header's count is untrusted: the bytes after it must hold exactly
+    // that many floats before anything is allocated for them.
+    const long header = std::ftell(f);
+    const long end = std::fseek(f, 0, SEEK_END) == 0 ? std::ftell(f) : -1;
+    ok = header >= 0 && end >= header && std::fseek(f, header, SEEK_SET) == 0;
+    const auto payload = static_cast<std::uint64_t>(ok ? end - header : 0);
+    if (ok && (payload % sizeof(float) != 0 ||
+               count != payload / sizeof(float))) {
+      std::fprintf(stderr,
+                   "load_floats: %s declares %llu floats but holds %llu "
+                   "payload bytes\n",
+                   path.c_str(), static_cast<unsigned long long>(count),
+                   static_cast<unsigned long long>(payload));
+      ok = false;
+    }
+  }
+  if (ok) {
     out->resize(count);
     if (count > 0)
       ok = std::fread(out->data(), sizeof(float), count, f) == count;

@@ -14,7 +14,8 @@ namespace ada {
 bool save_floats(const std::string& path, const std::vector<float>& data);
 
 /// Reads a float vector written by save_floats. Returns false on failure or
-/// malformed file.
+/// malformed file; a header count that disagrees with the payload size is
+/// rejected with one stderr line before anything is allocated.
 bool load_floats(const std::string& path, std::vector<float>* out);
 
 /// FNV-1a over a string; used to key cached model files by config.

@@ -5,13 +5,12 @@
 // model's policy, MAC totals that match the architecture's source of
 // truth, batched planned forwards bit-identical to per-image on both
 // fp32 backends, and golden bytes for the planned forward under every
-// kernel family.  The autotune race reads the fastest of several windows on
-// an injected clock and runs its kernels inline.
+// kernel family.  A quantized model's int8 plan runs int8 on every
+// kernel-bearing step, batched or not and through any weight-aliased clone.
 #include "runtime/exec_plan.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -25,7 +24,6 @@
 #include "detection/detector.h"
 #include "runtime/scratch.h"
 #include "runtime/thread_pool.h"
-#include "util/clock.h"
 #include "util/file_io.h"
 
 namespace ada {
@@ -34,59 +32,6 @@ namespace {
 struct BackendGuard {
   GemmBackend saved = gemm_backend();
   ~BackendGuard() { set_gemm_backend(saved); }
-};
-
-// ---------------------------------------------------------------- autotune
-//
-// The per-layer autotuner times int8 first, then packed fp32, for each
-// geometry (runtime/exec_plan.h).  These deterministic fakes exploit that
-// ordering so fallback decisions are reproducible on any machine.  Each one
-// still invokes the closure once, proving the n=1 probe forward really runs.
-int g_bench_calls = 0;
-
-/// Strictly increasing readings: the first candidate (int8) always wins.
-double bench_int8_wins(const std::function<void()>& run) {
-  run();
-  return static_cast<double>(++g_bench_calls);
-}
-
-/// Strictly decreasing readings: the second candidate (fp32) always wins.
-double bench_fp32_wins(const std::function<void()>& run) {
-  run();
-  return 1.0e6 - static_cast<double>(++g_bench_calls);
-}
-
-/// Winner alternates per geometry (each cache miss = one int8 + one fp32
-/// call, so the pair index selects): even geometries keep int8, odd ones
-/// fall back — a forced per-layer mixed plan.
-double bench_alternating(const std::function<void()>& run) {
-  run();
-  const int call = g_bench_calls++;
-  const bool int8_wins = (call / 2) % 2 == 0;
-  const bool is_int8_call = call % 2 == 0;
-  return (int8_wins == is_int8_call) ? 1.0 : 2.0;
-}
-
-/// The default bench's windows on a scripted clock: the race closures
-/// advance it by the time each run takes.
-ManualClock g_race_clock;
-double bench_on_race_clock(const std::function<void()>& run) {
-  return autotune_bench_windows(run, g_race_clock);
-}
-
-/// Installs a fake bench and isolates the process-global choice cache for
-/// one test (clears on entry AND exit so neighbouring tests never see
-/// fake-measured winners).
-struct AutotuneGuard {
-  explicit AutotuneGuard(AutotuneBenchFn fn) {
-    g_bench_calls = 0;
-    clear_autotune_cache();
-    set_autotune_bench(fn);
-  }
-  ~AutotuneGuard() {
-    set_autotune_bench(nullptr);
-    clear_autotune_cache();
-  }
 };
 
 class ExecPlanTest : public ::testing::Test {
@@ -155,13 +100,11 @@ TEST_F(ExecPlanTest, Int8ArenaReserveCoversPlannedForward) {
   // qgemm claim: one planned forward then grows nothing.  Kernels run
   // inline so every stripe's panels land on this thread's arena.
   BackendGuard guard;
-  AutotuneGuard tune(bench_int8_wins);
   std::vector<Tensor> images;
   for (int s : ScaleSet::reg_default().scales) images.push_back(render(s));
   detector_->quantize(images);
   detector_->set_execution_policy(ExecutionPolicy::int8());
   for (const Tensor& img : images) {
-    // Built here, so the autotune probes warm this thread, not the fresh one.
     const ExecutionPlan& plan = detector_->plan_for(1, img.h(), img.w());
     for (const PlanStep& s : plan.steps) {
       if (s.kernel != KernelKind::kNone) {
@@ -212,46 +155,6 @@ TEST_F(ExecPlanTest, Fp32ArenaReserveCoversPlannedForward) {
   }
 }
 
-TEST(AutotuneBench, OneSlowWindowDoesNotHandTheLayerToSteadilySlowerKernel) {
-  // int8 runs take 0.3 ms but one is hit by a 20 ms host spike; fp32 runs
-  // take a steady 0.45 ms.  The mean of one 2 ms window would read int8 at
-  // about 10 ms and fall the layer back to fp32; the fastest window reads
-  // the kernel.
-  AutotuneGuard tune(bench_on_race_clock);
-  int int8_runs = 0, fp32_runs = 0;
-  const AutotuneChoice& c = autotune_choice(
-      "scripted race",
-      [&] { g_race_clock.advance(++int8_runs == 3 ? 20.0 : 0.3); },
-      [&] {
-        ++fp32_runs;
-        g_race_clock.advance(0.45);
-      });
-  EXPECT_EQ(c.kernel, KernelKind::kInt8);
-  EXPECT_NEAR(c.int8_ns, 0.3e6, 1.0);
-  EXPECT_NEAR(c.fp32_ns, 0.45e6, 1.0);
-  // A warmup run, then windows until three have passed and 2 ms in all:
-  // the spike's window ends the int8 side after three windows, while the
-  // fp32 side needs five 0.45 ms windows to fill the budget.
-  EXPECT_EQ(int8_runs, 4);
-  EXPECT_EQ(fp32_runs, 6);
-}
-
-TEST(AutotuneBench, RaceRunsItsKernelsInline) {
-  // Whatever the pool's width, the race's parallel_for calls run on the
-  // racing thread and ask no worker to help.
-  AutotuneGuard tune(bench_int8_wins);
-  const std::uint64_t helpers = global_pool()->helpers_submitted();
-  std::atomic<std::int64_t> cells{0};
-  const auto kernel = [&] {
-    parallel_for(64, 1, [&](std::int64_t b, std::int64_t e) {
-      cells.fetch_add(e - b, std::memory_order_relaxed);
-    });
-  };
-  autotune_choice("inline race", kernel, kernel);
-  EXPECT_EQ(cells.load(), 128);
-  EXPECT_EQ(global_pool()->helpers_submitted(), helpers);
-}
-
 TEST_F(ExecPlanTest, PlanContentMatchesArchitecture) {
   BackendGuard guard;
   set_gemm_backend(GemmBackend::kPacked);
@@ -284,7 +187,6 @@ TEST_F(ExecPlanTest, PlanContentMatchesArchitecture) {
 
 TEST_F(ExecPlanTest, QuantizeInvalidatesAndReplansToInt8) {
   BackendGuard guard;
-  AutotuneGuard tune(bench_int8_wins);  // deterministic: int8 keeps every layer
   set_gemm_backend(GemmBackend::kPacked);
   const Tensor img = render(240);
   detector_->detect(img);
@@ -300,109 +202,22 @@ TEST_F(ExecPlanTest, QuantizeInvalidatesAndReplansToInt8) {
   for (const PlanStep& s : plan.steps)
     if (s.kernel != KernelKind::kNone) {
       EXPECT_EQ(s.kernel, KernelKind::kInt8) << s.layer;
-      // Every kernel-bearing step went through the measured race and
-      // carries its timings for plan_dump / bench_report.
-      EXPECT_TRUE(s.autotuned) << s.layer;
-      EXPECT_GT(s.tuned_int8_ns, 0.0) << s.layer;
-      EXPECT_LE(s.tuned_int8_ns, s.tuned_fp32_ns) << s.layer;
     }
-  // The printed plan surfaces the race results.
-  EXPECT_NE(plan.to_string().find("tuned int8="), std::string::npos);
-}
 
-TEST_F(ExecPlanTest, AutotunePerLayerFallbackToFp32) {
-  BackendGuard guard;
-  AutotuneGuard tune(bench_fp32_wins);  // deterministic: fp32 wins everywhere
-  set_gemm_backend(GemmBackend::kPacked);
-  const Tensor img = render(240);
-  detector_->quantize({img});
-  detector_->set_execution_policy(ExecutionPolicy::int8());
-
-  const ExecutionPlan& plan = detector_->plan_for(1, img.h(), img.w());
-  EXPECT_EQ(plan.policy, "int8");
-  for (const PlanStep& s : plan.steps)
-    if (s.kernel != KernelKind::kNone) {
-      // The layer resolved to int8 but the measured race demoted it.
-      EXPECT_EQ(s.kernel, KernelKind::kGemmPacked) << s.layer;
-      EXPECT_TRUE(s.autotuned) << s.layer;
-      EXPECT_GT(s.tuned_fp32_ns, 0.0) << s.layer;
-      EXPECT_LT(s.tuned_fp32_ns, s.tuned_int8_ns) << s.layer;
-    }
-  // A fully demoted plan still serves (and runs the fp32 packed kernels).
-  detector_->detect(img);
-}
-
-TEST_F(ExecPlanTest, AutotuneMixedPlanFallsBackPerLayer) {
-  BackendGuard guard;
-  AutotuneGuard tune(bench_alternating);
-  set_gemm_backend(GemmBackend::kPacked);
-  const Tensor img = render(240);
-  detector_->quantize({img});
-  detector_->set_execution_policy(ExecutionPolicy::int8());
-
-  const ExecutionPlan& plan = detector_->plan_for(1, img.h(), img.w());
-  int int8_steps = 0, fp32_steps = 0;
-  for (const PlanStep& s : plan.steps) {
-    if (s.kernel == KernelKind::kNone) continue;
-    EXPECT_TRUE(s.autotuned) << s.layer;
-    // The planned kernel is exactly what the recorded timings dictate —
-    // fallback is per layer, not per plan.
-    const KernelKind want = s.tuned_int8_ns <= s.tuned_fp32_ns
-                                ? KernelKind::kInt8
-                                : KernelKind::kGemmPacked;
-    EXPECT_EQ(s.kernel, want) << s.layer;
-    (s.kernel == KernelKind::kInt8 ? int8_steps : fp32_steps)++;
-  }
-  EXPECT_GT(int8_steps, 0);
-  EXPECT_GT(fp32_steps, 0) << "alternating bench must demote some layers";
-  detector_->detect(img);  // mixed plan serves fine
-}
-
-TEST_F(ExecPlanTest, AutotuneChoicesMemoizedAndSharedAcrossInstances) {
-  BackendGuard guard;
-  AutotuneGuard tune(bench_int8_wins);
-  set_gemm_backend(GemmBackend::kPacked);
-  const Tensor img = render(240);
-  detector_->quantize({img});
-  detector_->set_execution_policy(ExecutionPolicy::int8());
-
-  EXPECT_EQ(autotune_cache_size(), 0u);
-  const ExecutionPlan& plan = detector_->plan_for(1, img.h(), img.w());
-  const std::size_t geometries = autotune_cache_size();
-  EXPECT_GT(geometries, 0u);
-  const int calls_after_first = g_bench_calls;
-  EXPECT_EQ(calls_after_first, static_cast<int>(2 * geometries))
-      << "one int8 + one fp32 measurement per distinct geometry";
-
-  // A second shape at the same scale hits only already-measured
-  // geometries for layers whose (h, w) match; new spatial sizes add new
-  // keys but batch size never does: a batched plan re-measures nothing.
+  // A batched plan runs the per-image plan's kernels.
   const ExecutionPlan& batched = detector_->plan_for(2, img.h(), img.w());
-  EXPECT_EQ(autotune_cache_size(), geometries);
-  EXPECT_EQ(g_bench_calls, calls_after_first)
-      << "batch size is excluded from the autotune key";
   ASSERT_EQ(batched.steps.size(), plan.steps.size());
   for (std::size_t i = 0; i < plan.steps.size(); ++i)
     EXPECT_EQ(batched.steps[i].kernel, plan.steps[i].kernel);
 
-  // A weight-aliased clone shares the plan cache outright; even an
-  // INDEPENDENT instance with the same architecture re-measures nothing —
-  // the choice cache is process-global, which is what keeps
-  // master-vs-clone outputs bit-identical.  The clone's policy change
-  // clears the shared cache (freeing `plan` and `batched`), so both plans
-  // are taken after it.
+  // A weight-aliased clone shares the plan cache outright.  The clone's
+  // policy change clears the shared cache (freeing `plan` and `batched`),
+  // so both plans are taken after it.
   std::unique_ptr<Detector> clone = clone_detector_shared(detector_.get());
   clone->set_execution_policy(ExecutionPolicy::int8());
   EXPECT_EQ(&clone->plan_for(1, img.h(), img.w()),
             &detector_->plan_for(1, img.h(), img.w()))
       << "aliased clones share the plan cache";
-  EXPECT_EQ(g_bench_calls, calls_after_first);
-
-  clear_autotune_cache();
-  EXPECT_EQ(autotune_cache_size(), 0u);
-  detector_->set_execution_policy(ExecutionPolicy::int8());  // drops plans
-  detector_->plan_for(1, img.h(), img.w());
-  EXPECT_EQ(autotune_cache_size(), geometries) << "rebuild re-measures";
 }
 
 TEST_F(ExecPlanTest, TrainingReentryInvalidatesPlans) {
@@ -516,30 +331,23 @@ std::string detect_bytes(const Tensor& features, const DetectionOutput& d) {
 TEST_F(ExecPlanTest, PlannedForwardGoldenBytes) {
   // The planned forward pinned byte for byte at every S_reg scale, one row
   // per kernel family.  The models are pinned, so every ADASCALE_GEMM
-  // default reads the same bytes; the int8 rows pin the autotuner with the
-  // deterministic fakes, so their plans do not depend on timing (the
-  // alternating one serves a per-layer int8/fp32 mix).
+  // default reads the same bytes, and int8 bytes do not depend on the
+  // dispatched ISA, so the int8 row holds under every ADASCALE_ISA cap.
   struct Row {
     const char* name;
     ExecutionPolicy policy;
-    AutotuneBenchFn bench;  ///< nullptr: the fp32 rows race nothing
     std::uint64_t hash;
   };
   const Row rows[] = {
-      {"fp32", ExecutionPolicy::fp32(), nullptr, 0x3078469e3e895d3cULL},
-      {"reference", ExecutionPolicy::reference(), nullptr,
-       0x4b856c309dd035caULL},
-      {"int8, int8 wins", ExecutionPolicy::int8(), bench_int8_wins,
-       0x821d1aa9e90fc73cULL},
-      {"int8, alternating", ExecutionPolicy::int8(), bench_alternating,
-       0xe769e89729ea5a9bULL},
+      {"fp32", ExecutionPolicy::fp32(), 0x3078469e3e895d3cULL},
+      {"reference", ExecutionPolicy::reference(), 0x4b856c309dd035caULL},
+      {"int8", ExecutionPolicy::int8(), 0x821d1aa9e90fc73cULL},
   };
   std::vector<Tensor> images;
   for (int s : ScaleSet::reg_default().scales) images.push_back(render(s));
   // One calibration over every scale; the fp32 rows ignore the tables.
   detector_->quantize(images);
   for (const Row& row : rows) {
-    AutotuneGuard tune(row.bench);
     detector_->set_execution_policy(row.policy);  // drops cached plans
     std::string all;
     std::ostringstream per_scale;

@@ -9,12 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "data/dataset.h"
-#include "runtime/exec_plan.h"
 #include "runtime/multi_stream.h"
 
 namespace ada {
@@ -116,24 +114,6 @@ TEST_F(ExecPolicyModelTest, MixedPrecisionIsPerModelState) {
   set_gemm_backend(GemmBackend::kPacked);
   const Tensor img = render(240);
   quantize_models(img);
-
-  // Pin the autotuner to int8 (first candidate wins: readings increase).
-  // Real races on the regressor's small s240 geometries are close enough
-  // that a loaded host can demote every regressor layer to fp32; the int8
-  // policy would then serve fp32 bits and the EXPECT_NE below would fail
-  // with no fault in the policy state this test checks.
-  clear_autotune_cache();
-  set_autotune_bench(+[](const std::function<void()>& run) {
-    run();
-    static int calls = 0;
-    return static_cast<double>(++calls);
-  });
-  struct TunerReset {
-    ~TunerReset() {
-      set_autotune_bench(nullptr);
-      clear_autotune_cache();
-    }
-  } tuner_reset;
 
   // Reference outputs: all-fp32 and all-int8 (via pinned policies, global
   // untouched below).

@@ -15,7 +15,6 @@
 
 #include "detection/detector.h"
 #include "adascale/scale_regressor.h"
-#include "runtime/exec_plan.h"
 #include "tensor/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/linear.h"
@@ -799,17 +798,6 @@ TEST(RegressorInt8Test, TrainStepUsesFp32ForwardWhenQuantized) {
   Tensor features = random_tensor(1, 8, 10, 10, 0.0f, 2.0f, &rng);
   reg.quantize({features});
 
-  // Pin the autotuner to int8 (first candidate wins: readings increase).
-  // Under a low ADASCALE_ISA cap the real measurement can demote every
-  // layer to fp32, which would make int8 predictions equal fp32 ones and
-  // leave this test unable to discriminate the two forward paths.
-  clear_autotune_cache();
-  set_autotune_bench(+[](const std::function<void()>& run) {
-    run();
-    static int calls = 0;
-    return static_cast<double>(++calls);
-  });
-
   const GemmBackend saved = gemm_backend();
   set_gemm_backend(GemmBackend::kPacked);
   const float t_fp32 = reg.predict(features);
@@ -828,8 +816,6 @@ TEST(RegressorInt8Test, TrainStepUsesFp32ForwardWhenQuantized) {
   float unused = 0.0f;
   EXPECT_EQ(loss, mse_scalar(t_fp32, target, &unused))
       << "train_step computed its loss from the INT8 forward";
-  set_autotune_bench(nullptr);
-  clear_autotune_cache();
   set_gemm_backend(saved);
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "util/file_io.h"
 #include "util/table.h"
@@ -66,6 +69,57 @@ TEST(FileIo, EmptyVectorRoundTrip) {
   ASSERT_TRUE(load_floats(path, &back));
   EXPECT_TRUE(back.empty());
   std::remove(path.c_str());
+}
+
+/// Saves {1, 2} (an 8-byte payload), then overwrites the header's count
+/// with `count` and appends `extra` zero bytes.  Returns the path.
+std::string corrupted_file(const char* name, std::uint64_t count, int extra) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  EXPECT_TRUE(save_floats(path, {1.0f, 2.0f}));
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return path;
+  std::fseek(f, sizeof(std::uint32_t), SEEK_SET);  // past the magic
+  std::fwrite(&count, sizeof count, 1, f);
+  std::fseek(f, 0, SEEK_END);
+  for (int i = 0; i < extra; ++i) std::fputc(0, f);
+  std::fclose(f);
+  return path;
+}
+
+/// load_floats must reject the file, leave `out` alone, and name the path,
+/// the declared count and the payload size on stderr.
+void expect_rejected(const std::string& path, const std::string& detail) {
+  std::vector<float> back = {9.0f};
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(load_floats(path, &back));
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find(path), std::string::npos) << err;
+  EXPECT_NE(err.find(detail), std::string::npos) << err;
+  EXPECT_EQ(back, std::vector<float>{9.0f});
+  std::remove(path.c_str());
+}
+
+TEST(FileIo, OversizedCountFailsWithoutAllocating) {
+  // 2^62 floats over an 8-byte payload: resizing first would throw
+  // std::length_error out of every cache load.
+  expect_rejected(corrupted_file("ada_io_huge.bin", 1ULL << 62, 0),
+                  "declares 4611686018427387904 floats but holds 8 payload "
+                  "bytes");
+}
+
+TEST(FileIo, ShortPayloadFails) {
+  expect_rejected(corrupted_file("ada_io_short.bin", 3, 0),
+                  "declares 3 floats but holds 8 payload bytes");
+}
+
+TEST(FileIo, TrailingBytesFail) {
+  // Bytes after the declared payload mean the file is not what was saved.
+  expect_rejected(corrupted_file("ada_io_trailing.bin", 2, 4),
+                  "declares 2 floats but holds 12 payload bytes");
+  expect_rejected(corrupted_file("ada_io_ragged.bin", 2, 1),
+                  "declares 2 floats but holds 9 payload bytes");
 }
 
 TEST(FileIo, Fnv1aIsStableAndDiscriminates) {

@@ -1,6 +1,6 @@
 // bench_report — machine-readable kernel/perf trajectory for the repo.
 //
-// Emits BENCH_kernels.json (schema v8): per-conv-shape GFLOP/s and ns/call
+// Emits BENCH_kernels.json (schema v9): per-conv-shape GFLOP/s and ns/call
 // for all three GEMM backends (packed / reference / int8), end-to-end
 // detector forward latency / fps at each nominal scale, multi-stream
 // serving throughput — unbatched vs cross-stream batching (run_batched) — the
@@ -21,11 +21,9 @@
 // parameter bytes vs the 1000-dedicated-clones baseline, plus a
 // deterministic service-model-only timed pass proving every stream is
 // actually served at that density.
-// Since v8 the `kernel_autotune` section records the per-layer int8-vs-fp32
-// kernel race the execution-plan autotuner runs for a quantized model
-// (runtime/exec_plan.h): for each kernel-bearing layer of the scale-600
-// plan, the measured int8 and packed-fp32 ns, the int8/fp32 speedup ratio,
-// and the kernel the plan actually chose (int8, or packed where int8 lost).
+// v9 dropped v8's `kernel_autotune` section: plans no longer time int8
+// against fp32, since a quantized layer under the int8 policy always plans
+// int8 (runtime/exec_plan.h).
 // Since v4 every section records the execution policy its rows ran under
 // (per-column for multi-backend sections), and backends are selected with
 // pinned per-model ExecutionPolicy values / explicit kernel arguments —
@@ -51,7 +49,6 @@
 #include "data/dataset.h"
 #include "detection/detector.h"
 #include "experiments/harness.h"
-#include "runtime/exec_plan.h"
 #include "runtime/exec_policy.h"
 #include "runtime/multi_stream.h"
 #include "tensor/conv2d.h"
@@ -309,50 +306,6 @@ void emit_stream_table(JsonWriter* jw, Detector* det, const Dataset& dataset) {
   jw->key("frames_dropped")
       .value(static_cast<long long>(r.dropped_queue_full + r.dropped_deadline));
   jw->key("virtual_makespan_ms").value(r.makespan_ms);
-  jw->end_object();
-}
-
-/// Per-layer kernel autotune (schema v8): a quantized detector planned at
-/// scale 600 under the int8 policy.  Plan construction runs the measured
-/// int8-vs-packed-fp32 race per layer geometry (runtime/exec_plan.h); this
-/// section dumps what each step measured and which kernel won.  A fresh
-/// detector instance keeps the quantization/policy mutation out of the
-/// sections that share the main one.
-void emit_kernel_autotune(JsonWriter* jw, const Dataset& dataset) {
-  DetectorConfig dcfg;
-  dcfg.num_classes = dataset.catalog().num_classes();
-  Rng rng(7);
-  Detector det(dcfg, &rng);
-  const Renderer renderer = dataset.make_renderer();
-  const Tensor img = renderer.render_at_scale(
-      *dataset.val_frames()[0], 600, dataset.scale_policy());
-  det.quantize({img});
-  det.set_execution_policy(ExecutionPolicy::int8());
-  clear_autotune_cache();  // this report re-measures, never reuses
-  const ExecutionPlan& plan = det.plan_for(1, img.h(), img.w());
-
-  jw->key("kernel_autotune");
-  jw->begin_object();
-  jw->key("qgemm_kernel_isa").value(qgemm_kernel_isa());
-  jw->key("scale").value(600);
-  jw->key("layers");
-  jw->begin_array();
-  for (std::size_t i = 0; i < plan.steps.size(); ++i) {
-    const PlanStep& s = plan.steps[i];
-    if (s.kernel == KernelKind::kNone) continue;
-    jw->begin_object();
-    jw->key("step").value(static_cast<int>(i));
-    jw->key("layer").value(s.layer);
-    jw->key("kernel").value(kernel_kind_name(s.kernel));
-    jw->key("autotuned").value(s.autotuned);
-    jw->key("int8_ns").value(s.tuned_int8_ns);
-    jw->key("fp32_ns").value(s.tuned_fp32_ns);
-    jw->key("int8_speedup_vs_fp32")
-        .value(s.tuned_int8_ns > 0.0 ? s.tuned_fp32_ns / s.tuned_int8_ns
-                                     : 0.0);
-    jw->end_object();
-  }
-  jw->end_array();
   jw->end_object();
 }
 
@@ -698,7 +651,7 @@ int main(int argc, char** argv) {
 
   JsonWriter jw;
   jw.begin_object();
-  jw.key("schema").value("adascale-bench-kernels-v8");
+  jw.key("schema").value("adascale-bench-kernels-v9");
   jw.key("gemm_kernel_isa").value(gemm_kernel_isa());
   // lint:allow(R2) reporting the env-selected default in the JSON header —
   // a diagnostic read for humans; execution below pins ExecutionPolicy.
@@ -716,9 +669,6 @@ int main(int argc, char** argv) {
     cases.push_back({std::string(e.name) + "@600", e.spec, e.in_h, e.in_w});
   emit_conv_cases(&jw, cases);
   emit_detector_scales(&jw, &detector, dataset);
-
-  // Per-layer kernel autotune on the scale-600 plan (schema v8).
-  emit_kernel_autotune(&jw, dataset);
 
   // Serving throughput on a separate small job pool (8 snippets over 4
   // streams), default kernel pool: the batched-vs-unbatched comparison the

@@ -24,7 +24,6 @@
 //                decision noise; delta bar on AdaScale mode.
 //
 // Usage: calibrate [num_frames] [--mixed]        (default 16 frames)
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,7 +31,6 @@
 #include <vector>
 
 #include "experiments/harness.h"
-#include "runtime/exec_plan.h"
 #include "runtime/exec_policy.h"
 
 using namespace ada;
@@ -119,26 +117,6 @@ int main(int argc, char** argv) {
       "AdaScale/int8+fp32reg",
       h.run_adascale(det, reg_mixed.get(), ScaleSet::reg_default()));
 
-  // Autotune outcome of the int8 serving plan at scale 600 (read while the
-  // int8 policy is still pinned, from the plan the evals above served
-  // from): how many layers the measured kernel race kept on int8, how many
-  // it demoted to packed fp32, and the speedup the tuned plan buys over
-  // running every layer fp32 (per-layer min of the two measured timings).
-  int autotuned_layers = 0, fallback_layers = 0;
-  double fp32_total_ns = 0.0, chosen_total_ns = 0.0;
-  {
-    const Tensor img600 = h.renderer().render_at_scale(
-        *h.dataset().val_frames()[0], 600, h.dataset().scale_policy());
-    const ExecutionPlan& plan = det->plan_for(1, img600.h(), img600.w());
-    for (const PlanStep& s : plan.steps) {
-      if (!s.autotuned) continue;
-      ++autotuned_layers;
-      if (s.kernel != KernelKind::kInt8) ++fallback_layers;
-      fp32_total_ns += s.tuned_fp32_ns;
-      chosen_total_ns += std::min(s.tuned_int8_ns, s.tuned_fp32_ns);
-    }
-  }
-
   std::vector<const MethodRun*> rows{&fx32, &fx8, &ada32, &mixed};
   MethodRun ada8;
   if (!mixed_mode) {
@@ -161,13 +139,8 @@ int main(int argc, char** argv) {
     const double delta = 100.0 * (mixed.eval.map - ada32.eval.map);
     std::printf("\nAdaScale-mode mAP delta (int8 det + fp32 reg - fp32): "
                 "%+.2f\n", delta);
-    std::printf("acceptance: |delta| <= 1.0 -> %s  "
-                "(autotune@600: %d/%d layers int8, %d fp32 fallback, "
-                "tuned-vs-all-fp32 speedup %.2fx)\n",
-                delta >= -1.0 && delta <= 1.0 ? "PASS" : "FAIL",
-                autotuned_layers - fallback_layers, autotuned_layers,
-                fallback_layers,
-                chosen_total_ns > 0.0 ? fp32_total_ns / chosen_total_ns : 0.0);
+    std::printf("acceptance: |delta| <= 1.0 -> %s\n",
+                delta >= -1.0 && delta <= 1.0 ? "PASS" : "FAIL");
   } else {
     const double delta = 100.0 * (fx8.eval.map - fx32.eval.map);
     std::printf("\nfixed-600 mAP delta (int8 - fp32): %+.2f\n", delta);

@@ -4,12 +4,11 @@
 // each requested nominal scale (runtime/exec_plan.h).
 //
 // Plans depend on architecture, policy, and quantization state — never on
-// weight values — so this tool builds untrained models and is instant; no
-// model cache, no training.  It prints the fp32 (packed) plan per scale
-// and, with --int8, calibrates on the rendered frames and reprints under
-// the mixed-precision serving config (int8 detector policy + fp32
-// regressor policy) so the kernel-choice differences are visible side by
-// side.
+// weight values or timing — so this tool builds untrained models and is
+// instant; no model cache, no training.  It prints the fp32 (packed) plan
+// per scale and, with --int8, calibrates on the rendered frames and
+// reprints under the mixed-precision serving config (int8 detector policy
+// + fp32 regressor policy), where every detector conv plans int8.
 //
 // Usage: plan_dump [--int8] [scale ...]     (default scales: S_reg)
 #include <cstdio>
