@@ -80,16 +80,15 @@ struct AdmissionStats {
 };
 
 /// One stream's bounded, deadline-stamped arrival queue.  Not internally
-/// synchronized: the virtual-time runner is its only producer and consumer
-/// (a single event loop), which is exactly what makes admission decisions
-/// deterministic.
+/// synchronized: MultiStreamRunner's dispatch loop offers, pops and sheds
+/// only under its own lock.
 class ArrivalQueue {
  public:
   /// `clock` must outlive the queue; cfg is validated loudly.
   ArrivalQueue(const AdmissionConfig& cfg, const Clock* clock);
 
   /// Offers one frame that arrived at `arrival_ms` (its scheduled arrival
-  /// time — passed explicitly because the event loop may deliver it after
+  /// time — passed explicitly because the runner may deliver it after
   /// the clock has already advanced past it, e.g. arrivals that landed
   /// during a service window; stamping delivery time would understate
   /// queueing delay).  Returns false (and counts dropped_queue_full) when

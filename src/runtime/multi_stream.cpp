@@ -1,13 +1,12 @@
 #include "runtime/multi_stream.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -100,58 +99,157 @@ void BatchSchedulerConfig::validate() const {
   }
 }
 
-MultiStreamResult MultiStreamRunner::drain(
-    const std::vector<const Snippet*>& jobs, const StreamTableConfig& cfg,
-    int max_batch) {
-  cfg.validate();
+/// What a timed run adds to the dispatch loop: its knobs, its clock, the
+/// optional controller, and the result its records and counters go to.
+struct MultiStreamRunner::Timed {
+  const TimedRunConfig& cfg;
+  ManualClock* clock;
+  OverloadController* controller;
+  TimedRunResult* result;
+};
+
+MultiStreamResult MultiStreamRunner::serve(
+    const std::vector<StreamSchedule>& schedules, int workers, int max_batch,
+    const Timed* timed) {
   const std::size_t n = streams_.size();
   MultiStreamResult result;
   result.streams.resize(n);
   for (std::size_t s = 0; s < n; ++s)
     result.streams[s].stream_id = static_cast<int>(s);
-
-  // Stream-state-table entries: every frame of every job lands in its
-  // stream's ArrivalQueue up front (a backlog-drain schedule — all due at
-  // time zero against a clock that never advances), so "has queued frames"
-  // is the only readiness condition the dispatch loop needs.
-  const std::vector<StreamSchedule> schedules =
-      schedules_from_jobs(jobs, static_cast<int>(n));
-  ManualClock clock(0.0);
-  AdmissionConfig acfg;
-  std::size_t max_frames = 1;
-  for (const StreamSchedule& sch : schedules)
-    max_frames = std::max(max_frames, sch.size());
-  acfg.capacity = static_cast<int>(max_frames);
-  acfg.deadline_ms = 1e15;  // throughput mode: nothing can expire
-  std::vector<ArrivalQueue> queues;
-  queues.reserve(n);
-  long remaining = 0;
-  for (std::size_t s = 0; s < n; ++s) {
-    queues.emplace_back(acfg, &clock);
-    for (const FrameArrival& a : schedules[s])
-      queues[s].offer(a.scene, a.snippet_start, a.ms);
-    remaining += static_cast<long>(schedules[s].size());
-  }
-
-  int workers = cfg.workers;
   if (workers == 0)
     workers = std::max(
         1, std::min(static_cast<int>(n),
                     static_cast<int>(std::thread::hardware_concurrency())));
+  // A drain serves a backlog: every frame due at time zero against a clock
+  // that never advances, in queues that never fill under a deadline nothing
+  // misses, so "has queued frames" is the only readiness condition.
+  AdmissionConfig backlog;
+  backlog.capacity = std::numeric_limits<int>::max();
+  backlog.deadline_ms = 1e15;
+  ManualClock backlog_clock(0.0);
+  const AdmissionConfig& admission =
+      timed != nullptr ? timed->cfg.admission : backlog;
+  ManualClock* const clock = timed != nullptr ? timed->clock : &backlog_clock;
+  OverloadController* const controller =
+      timed != nullptr ? timed->controller : nullptr;
 
-  // Dispatch: a ready deque of stream ids.  A stream id is in the deque,
-  // owned by exactly one worker, or parked with its staged frame in a
-  // bucket, never two of these — within-stream frame order (and thus
-  // bit-identical output) holds for any worker count.
+  // Stream-state-table entries.  A stream is idle (nothing queued), ready
+  // (frames queued, none in service) or busy (its frame is owned by one
+  // worker or parked in a bucket), never two — so within-stream frame order,
+  // and thus bit-identical output, holds for any worker count.  `mu` guards
+  // all of this but a busy stream's pipeline, in-flight slot and output.
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<int> ready;
-  long holding = 0;  // streams that still hold frames
-  for (std::size_t s = 0; s < n; ++s)
-    if (!queues[s].empty()) {
-      ready.push_back(static_cast<int>(s));
-      ++holding;
+  struct InFlight {  // a busy stream's frame, from its pick to its finish
+    AdmittedFrame frame;
+    double busy_ms = 0.0;  // measured time of its halves so far
+  };
+  std::vector<ArrivalQueue> queues;
+  queues.reserve(n);
+  for (std::size_t s = 0; s < n; ++s) queues.emplace_back(admission, clock);
+  enum class Slot : char { kIdle, kReady, kBusy };
+  std::vector<Slot> slot(n, Slot::kIdle);
+  std::vector<InFlight> flight(n);
+  long ready = 0;    // streams in the ready set
+  long holding = 0;  // streams that are ready or busy
+
+  // A timed run's record of one offered frame, stamped with the clock and
+  // the rung in force now.  Its one worker moves neither while a frame is in
+  // service, so a served frame, recorded at its finish, reads its pick's.
+  auto record = [&](std::size_t s, long seq,
+                    double arrival_ms) -> TimedFrameRecord& {
+    TimedFrameRecord& r = timed->result->frames.emplace_back();
+    r.stream = static_cast<int>(s);
+    r.seq = seq;
+    r.arrival_ms = arrival_ms;
+    r.start_ms = r.finish_ms = clock->now_ms();
+    if (controller != nullptr) r.level = controller->level();
+    return r;
+  };
+  // Only a timed run drops: a drain's queues never fill and its deadline
+  // never passes.
+  auto record_drop = [&](std::size_t s, long seq, double arrival_ms,
+                         DropReason reason) {
+    TimedFrameRecord& r = record(s, seq, arrival_ms);
+    r.dropped = true;
+    r.drop_reason = reason;
+  };
+
+  // Arrivals are delivered once the clock reaches them, stamped with their
+  // scheduled time (one that landed during a service window has queued
+  // since); a full queue drops one at the rung in force before the next
+  // tick.  A drain delivers its whole backlog here, at once.
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  std::vector<std::size_t> next(n, 0);
+  double next_due = kNever;
+  auto deliver = [&] {
+    const double now = clock->now_ms();
+    next_due = kNever;
+    for (std::size_t s = 0; s < n; ++s) {
+      const StreamSchedule& sch = schedules[s];
+      for (; next[s] < sch.size() && sch[next[s]].ms <= now; ++next[s]) {
+        const FrameArrival& a = sch[next[s]];
+        if (!queues[s].offer(a.scene, a.snippet_start, a.ms)) {
+          record_drop(s, static_cast<long>(next[s]), a.ms,
+                      DropReason::kQueueFull);
+        } else if (slot[s] == Slot::kIdle) {
+          slot[s] = Slot::kReady;
+          ++ready;
+          ++holding;
+        }
+      }
+      if (next[s] < sch.size()) next_due = std::min(next_due, sch[next[s]].ms);
     }
+  };
+  deliver();
+
+  // The controller's tick, taken where a worker picks a stream: one
+  // observation of the worst queue depth and head-of-line slack, then the
+  // rung's actions — the scale cap (0 lifts it), the degraded policies
+  // (saved on the switch, restored on recovery) and deadline shedding.
+  // Re-pooling streams mid-run is safe because a timed run has one worker.
+  std::vector<std::pair<ExecutionPolicy, ExecutionPolicy>> saved_policies;
+  auto restore_policies = [&] {
+    for (std::size_t s = 0; s < saved_policies.size(); ++s)
+      set_stream_policy(static_cast<int>(s), saved_policies[s].first,
+                        saved_policies[s].second);
+    saved_policies.clear();
+  };
+  auto tick = [&] {
+    int max_depth = 0;
+    double min_slack = admission.deadline_ms;
+    for (const ArrivalQueue& q : queues) {
+      max_depth = std::max(max_depth, q.depth());
+      min_slack = std::min(min_slack, q.oldest_slack_ms());
+    }
+    const DegradeLevel level = controller->observe(max_depth, min_slack);
+    const OverloadControllerConfig& ccfg = controller->config();
+    set_scale_cap(level >= DegradeLevel::kScaleCap && ccfg.enable_scale_cap
+                      ? ccfg.scale_cap
+                      : 0);
+    if (!controller->policy_switch_active()) {
+      restore_policies();
+    } else if (saved_policies.empty()) {
+      for (std::size_t s = 0; s < n; ++s) {
+        saved_policies.emplace_back(streams_[s]->det_policy,
+                                    streams_[s]->reg_policy);
+        set_stream_policy(static_cast<int>(s),
+                          timed->cfg.degraded_detector_policy,
+                          timed->cfg.degraded_regressor_policy);
+      }
+    }
+    if (controller->shedding_active()) {
+      for (std::size_t s = 0; s < n; ++s) {
+        for (const AdmittedFrame& f : queues[s].shed_expired())
+          record_drop(s, f.seq, f.arrival_ms, DropReason::kDeadline);
+        if (slot[s] == Slot::kReady && queues[s].empty()) {
+          slot[s] = Slot::kIdle;
+          --ready;
+          --holding;
+        }
+      }
+    }
+  };
 
   // Buckets of staged backbone frames, keyed by the stream's pool and the
   // rendered size (ordered maps, R5).  A bucket closes when it holds
@@ -161,7 +259,7 @@ MultiStreamResult MultiStreamRunner::drain(
   // counting, so no frame is stranded.  Closed buckets are keyed by the
   // park order of their oldest frame and served oldest first.
   struct Parked {
-    int sid = 0;
+    std::size_t sid = 0;
     long seq = 0;  // park order
     AdaScalePipeline::StagedFrame frame;
   };
@@ -177,17 +275,41 @@ MultiStreamResult MultiStreamRunner::drain(
     closed.emplace(oldest, std::move(it->second));
     return open.erase(it);
   };
-  auto close_if_all_parked = [&] {
-    if (parked < holding) return;
-    for (auto it = open.begin(); it != open.end();) it = close_bucket(it);
+
+  // A drain appends a served frame to its stream's output; a timed run
+  // charges its service (modeled, or the measured time of its halves) plus
+  // any injected fault to the clock, and records it.
+  auto finish = [&](std::size_t sid, AdaFrameOutput&& out) {
+    const InFlight& fl = flight[sid];
+    if (timed == nullptr) {
+      StreamOutput& so = result.streams[sid];
+      so.busy_ms += fl.busy_ms;
+      so.frames.push_back(std::move(out));
+      return;
+    }
+    const TimedRunConfig& cfg = timed->cfg;
+    TimedFrameRecord& r = record(sid, fl.frame.seq, fl.frame.arrival_ms);
+    r.scale_used = out.scale_used;
+    double svc = cfg.service_model ? cfg.service_model(r.stream, r.seq,
+                                                       r.scale_used, r.level)
+                                   : fl.busy_ms;
+    svc += cfg.faults.extra_service_ms(r.stream, r.seq);
+    clock->advance(svc);
+    r.finish_ms = clock->now_ms();
+    r.deadline_met = r.finish_ms <= fl.frame.deadline_ms;
+    timed->result->latency.record(r.finish_ms - r.arrival_ms);
+    if (!r.deadline_met) ++timed->result->deadline_violations;
+    if (cfg.run_inference) r.output = std::move(out);
   };
-  // A stream's frame is done: back to the ready set, or out of the count.
-  auto frame_done = [&](int sid) {
-    --remaining;
-    if (!queues[static_cast<std::size_t>(sid)].empty())
-      ready.push_back(sid);
-    else
+  // A stream's frame is done: back to the ready set, or idle.
+  auto frame_done = [&](std::size_t sid) {
+    if (queues[sid].empty()) {
+      slot[sid] = Slot::kIdle;
       --holding;
+    } else {
+      slot[sid] = Slot::kReady;
+      ++ready;
+    }
   };
 
   // Busy workers that alone outnumber the kernel pool's threads already
@@ -198,8 +320,9 @@ MultiStreamResult MultiStreamRunner::drain(
   // from the queue lengths, that exceeds the pool's threads for a stream's
   // i-th frame exactly when i is below the (threads + 1)-th longest queue.
   // Deeper frames are an uneven drain's tail: they fan out again onto the
-  // cores the finished streams freed.  Bytes do not move: parallel_for
-  // chunks write disjoint ranges either way.
+  // cores the finished streams freed.  A batch follows the rule of its
+  // oldest frame.  Bytes do not move: parallel_for chunks write disjoint
+  // ranges either way.
   const std::size_t pool_threads =
       static_cast<std::size_t>(global_pool()->num_threads());
   std::size_t inline_depth = 0;
@@ -213,14 +336,28 @@ MultiStreamResult MultiStreamRunner::drain(
                      std::greater<std::size_t>());
     inline_depth = *kth;
   }
+  auto runs_inline = [&](std::size_t sid) {
+    return static_cast<std::size_t>(flight[sid].frame.seq) < inline_depth;
+  };
 
+  // One pick rule for every entry point: the first ready stream after the
+  // one dispatched last.  One worker therefore serves in round robin.
+  std::size_t last = n - 1;
   auto worker_main = [&]() {
     std::unique_lock<std::mutex> lk(mu);
     for (;;) {
-      while (closed.empty() && ready.empty() && remaining > 0) cv.wait(lk);
-      if (remaining <= 0) {
-        cv.notify_all();
-        return;
+      if (next_due <= clock->now_ms()) deliver();
+      if (closed.empty() && ready == 0) {
+        if (holding > 0) {
+          cv.wait(lk);
+        } else if (next_due == kNever) {
+          cv.notify_all();
+          return;
+        } else {
+          // Only a timed run idles; its one worker jumps to the next arrival.
+          clock->advance_to(next_due);
+        }
+        continue;
       }
       if (!closed.empty()) {
         // Serve the closed bucket whose oldest frame parked first.  Its
@@ -241,52 +378,53 @@ MultiStreamResult MultiStreamRunner::drain(
         std::vector<AdaScalePipeline::StagedFrame*> frames;
         frames.reserve(batch.size());
         for (Parked& p : batch) frames.push_back(&p.frame);
-        // A frame served alone keeps the inline rule above; a batch of
-        // several fans out, as its workers may be parked, not busy.
         std::optional<InlineKernelScope> own_core;
-        if (nb == 1 &&
-            result.streams[static_cast<std::size_t>(batch[0].sid)]
-                    .frames.size() < inline_depth)
-          own_core.emplace();
+        if (runs_inline(batch[0].sid)) own_core.emplace();
         Timer batch_timer;
         AdaScalePipeline::serve_backbone(frames.data(), nb);
         const double share_ms = batch_timer.elapsed_ms() / nb;
         own_core.reset();
         for (Parked& p : batch) {
-          StreamOutput& out = result.streams[static_cast<std::size_t>(p.sid)];
-          out.busy_ms += share_ms;
-          out.frames.push_back(std::move(p.frame.out));
+          flight[p.sid].busy_ms += share_ms;
+          finish(p.sid, std::move(p.frame.out));
         }
         lk.lock();
         for (const Parked& p : batch) frame_done(p.sid);
       } else {
-        const int sid = ready.front();
-        ready.pop_front();
-        // This worker now exclusively owns stream `sid`: its queue,
-        // pipeline and output slot are untouched by anyone else until it
-        // is returned to the deque or parked (the mutex hand-off orders
-        // the memory).
-        ArrivalQueue& q = queues[static_cast<std::size_t>(sid)];
-        Stream& stream = *streams_[static_cast<std::size_t>(sid)];
-        StreamOutput& out = result.streams[static_cast<std::size_t>(sid)];
+        if (controller != nullptr) {
+          tick();
+          if (ready == 0) continue;  // shedding emptied every queue
+        }
+        std::size_t sid = last;
+        do sid = (sid + 1) % n; while (slot[sid] != Slot::kReady);
+        last = sid;
+        slot[sid] = Slot::kBusy;
+        --ready;
+        InFlight& fl = flight[sid] = InFlight{queues[sid].pop(), 0.0};
         lk.unlock();
-        const AdmittedFrame f = q.pop();
-        if (f.snippet_start) stream.pipeline->reset();
-        std::optional<InlineKernelScope> own_core;
-        if (out.frames.size() < inline_depth) own_core.emplace();
-        Timer frame_timer;
-        AdaScalePipeline::StagedFrame staged =
-            stream.pipeline->stage(*f.scene);
-        out.busy_ms += frame_timer.elapsed_ms();
-        own_core.reset();
-        const bool done = !staged.needs_backbone;  // a DFF warp frame
-        if (done) out.frames.push_back(std::move(staged.out));
+        AdaScalePipeline& pipeline = *streams_[sid]->pipeline;
+        if (fl.frame.snippet_start) pipeline.reset();
+        AdaScalePipeline::StagedFrame staged;
+        if (timed == nullptr || timed->cfg.run_inference) {
+          std::optional<InlineKernelScope> own_core;
+          if (runs_inline(sid)) own_core.emplace();
+          Timer stage_timer;
+          staged = pipeline.stage(*fl.frame.scene);
+          fl.busy_ms = stage_timer.elapsed_ms();
+        } else {
+          // Queueing only: no pipeline work, just the scale it would serve.
+          const int scale = pipeline.current_scale();
+          staged.out.scale_used =
+              controller != nullptr ? controller->apply_scale(scale) : scale;
+        }
+        const bool done = !staged.needs_backbone;  // e.g. a DFF warp frame
+        if (done) finish(sid, std::move(staged.out));
         lk.lock();
         if (done) {
           frame_done(sid);
         } else {
           const auto key = std::make_tuple(
-              static_cast<const ModelPool*>(stream.pipeline->pool()),
+              static_cast<const ModelPool*>(pipeline.pool()),
               staged.image.h(), staged.image.w());
           auto it = open.try_emplace(key).first;
           it->second.push_back(Parked{sid, park_seq++, std::move(staged)});
@@ -295,7 +433,10 @@ MultiStreamResult MultiStreamRunner::drain(
             close_bucket(it);
         }
       }
-      close_if_all_parked();
+      // Every stream that holds frames is parked: no frame can join an open
+      // bucket, so all of them close.
+      if (parked >= holding)
+        for (auto it = open.begin(); it != open.end();) it = close_bucket(it);
       // Wake peers: a stream became ready again, a bucket closed, or the
       // run just drained.
       cv.notify_all();
@@ -319,12 +460,32 @@ MultiStreamResult MultiStreamRunner::drain(
                              ? 1000.0 * static_cast<double>(result.total_frames)
                                    / result.wall_ms
                              : 0.0;
+  if (timed != nullptr) {
+    TimedRunResult& tr = *timed->result;
+    for (const ArrivalQueue& q : queues) {
+      const AdmissionStats& st = q.stats();
+      tr.stream_stats.push_back(st);
+      tr.offered += st.offered;
+      tr.served += st.served;
+      tr.dropped_queue_full += st.dropped_queue_full;
+      tr.dropped_deadline += st.dropped_deadline;
+    }
+    if (controller != nullptr) {
+      tr.timeline = controller->timeline();
+      tr.final_level = controller->level();
+      // A timed run must not leak degraded state into later runs.
+      restore_policies();
+      set_scale_cap(0);
+    }
+  }
   return result;
 }
 
 MultiStreamResult MultiStreamRunner::run_table(
     const std::vector<const Snippet*>& jobs, const StreamTableConfig& cfg) {
-  return drain(jobs, cfg, 1);
+  cfg.validate();
+  return serve(schedules_from_jobs(jobs, num_streams()), cfg.workers,
+               /*max_batch=*/1, nullptr);
 }
 
 MultiStreamResult MultiStreamRunner::run(
@@ -342,7 +503,9 @@ MultiStreamResult MultiStreamRunner::run_serial(
 MultiStreamResult MultiStreamRunner::run_batched(
     const std::vector<const Snippet*>& jobs, const BatchSchedulerConfig& cfg) {
   cfg.validate();
-  MultiStreamResult result = drain(jobs, StreamTableConfig{}, cfg.max_batch);
+  MultiStreamResult result =
+      serve(schedules_from_jobs(jobs, num_streams()), /*workers=*/0,
+            cfg.max_batch, nullptr);
   result.batched = true;
   return result;
 }
@@ -394,182 +557,11 @@ TimedRunResult MultiStreamRunner::run_timed(
       }
     }
   }
-  const std::size_t n = streams_.size();
-
   TimedRunResult result;
-  result.stream_stats.resize(n);
   const double t_begin = clock->now_ms();
-
-  std::vector<ArrivalQueue> queues;
-  queues.reserve(n);
-  for (std::size_t s = 0; s < n; ++s)
-    queues.emplace_back(cfg.admission, clock);
-
-  std::vector<std::size_t> next(n, 0);   // next undelivered schedule index
-  std::vector<long> offered_seq(n, 0);   // mirrors the queue's seq numbering
-  // Policy-switch bookkeeping: the pre-degradation policies to restore.
-  std::vector<ExecutionPolicy> saved_det(n), saved_reg(n);
-  bool policies_switched = false;
-
-  auto record_drop = [&](int stream, long seq, double arrival_ms,
-                         DropReason reason, DegradeLevel level) {
-    TimedFrameRecord r;
-    r.stream = stream;
-    r.seq = seq;
-    r.arrival_ms = arrival_ms;
-    r.start_ms = clock->now_ms();
-    r.finish_ms = r.start_ms;
-    r.dropped = true;
-    r.drop_reason = reason;
-    r.level = level;
-    result.frames.push_back(std::move(r));
-  };
-
-  std::size_t rr = 0;  // round-robin service pointer
-  for (;;) {
-    const double now = clock->now_ms();
-    const DegradeLevel level =
-        controller != nullptr ? controller->level() : DegradeLevel::kNormal;
-
-    // 1. Deliver every arrival due by now.  Arrivals that landed during the
-    // previous service window are delivered here with their scheduled
-    // arrival_ms (not the current clock), so their queueing delay is real.
-    for (std::size_t s = 0; s < n; ++s) {
-      while (next[s] < schedules[s].size() &&
-             schedules[s][next[s]].ms <= now) {
-        const FrameArrival& a = schedules[s][next[s]];
-        const long seq = offered_seq[s]++;
-        if (!queues[s].offer(a.scene, a.snippet_start, a.ms))
-          record_drop(static_cast<int>(s), seq, a.ms, DropReason::kQueueFull,
-                      level);
-        ++next[s];
-      }
-    }
-
-    // 2. Termination / idle handling.
-    bool any_queued = false, any_pending = false;
-    double next_arrival = 0.0;
-    bool have_next = false;
-    for (std::size_t s = 0; s < n; ++s) {
-      if (!queues[s].empty()) any_queued = true;
-      if (next[s] < schedules[s].size()) {
-        any_pending = true;
-        const double t = schedules[s][next[s]].ms;
-        if (!have_next || t < next_arrival) next_arrival = t;
-        have_next = true;
-      }
-    }
-    if (!any_queued) {
-      if (!any_pending) break;        // drained and exhausted: done
-      clock->advance_to(next_arrival);  // idle: jump to the next arrival
-      continue;
-    }
-
-    // 3. One controller tick per service slot: worst depth, worst slack.
-    int max_depth = 0;
-    double min_slack = cfg.admission.deadline_ms;
-    for (std::size_t s = 0; s < n; ++s) {
-      max_depth = std::max(max_depth, queues[s].depth());
-      min_slack = std::min(min_slack, queues[s].oldest_slack_ms());
-    }
-    DegradeLevel now_level = DegradeLevel::kNormal;
-    if (controller != nullptr) {
-      now_level = controller->observe(max_depth, min_slack);
-
-      // Enforce the rung: scale cap on every pipeline (0 lifts it)...
-      set_scale_cap(now_level >= DegradeLevel::kScaleCap &&
-                            controller->config().enable_scale_cap
-                        ? controller->config().scale_cap
-                        : 0);
-      // ...degraded execution policies (saved once, restored on recovery)...
-      if (controller->policy_switch_active() && !policies_switched) {
-        for (std::size_t s = 0; s < n; ++s) {
-          saved_det[s] = streams_[s]->det_policy;
-          saved_reg[s] = streams_[s]->reg_policy;
-          // Re-pools the stream onto the degraded-policy contexts (built on
-          // first switch); safe mid-run because this event loop is the only
-          // thread touching the table.
-          set_stream_policy(static_cast<int>(s), cfg.degraded_detector_policy,
-                            cfg.degraded_regressor_policy);
-        }
-        policies_switched = true;
-      } else if (!controller->policy_switch_active() && policies_switched) {
-        for (std::size_t s = 0; s < n; ++s)
-          set_stream_policy(static_cast<int>(s), saved_det[s], saved_reg[s]);
-        policies_switched = false;
-      }
-      // ...and deadline-aware shedding of already-expired queued frames.
-      if (controller->shedding_active()) {
-        for (std::size_t s = 0; s < n; ++s) {
-          for (const AdmittedFrame& f : queues[s].shed_expired())
-            record_drop(static_cast<int>(s), f.seq, f.arrival_ms,
-                        DropReason::kDeadline, now_level);
-        }
-      }
-    }
-
-    // 4. Serve one frame round-robin across non-empty queues.  Shedding may
-    // just have emptied everything; the loop head re-evaluates then.
-    std::size_t pick = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t s = (rr + i) % n;
-      if (!queues[s].empty()) {
-        pick = s;
-        break;
-      }
-    }
-    if (pick == n) continue;
-    rr = pick + 1;
-
-    Stream& stream = *streams_[pick];
-    const AdmittedFrame f = queues[pick].pop();
-    if (f.snippet_start) stream.pipeline->reset();
-
-    TimedFrameRecord r;
-    r.stream = static_cast<int>(pick);
-    r.seq = f.seq;
-    r.arrival_ms = f.arrival_ms;
-    r.start_ms = clock->now_ms();
-    r.level = now_level;
-    if (cfg.run_inference) {
-      r.output = stream.pipeline->process(*f.scene);
-      r.scale_used = r.output.scale_used;
-    } else {
-      r.scale_used = stream.pipeline->current_scale();
-      if (controller != nullptr)
-        r.scale_used = controller->apply_scale(r.scale_used);
-    }
-    double svc = cfg.service_model
-                     ? cfg.service_model(r.stream, r.seq, r.scale_used,
-                                         now_level)
-                     : r.output.total_ms();
-    svc += cfg.faults.extra_service_ms(r.stream, r.seq);
-    clock->advance(svc);
-    r.finish_ms = clock->now_ms();
-    r.deadline_met = r.finish_ms <= f.deadline_ms;
-    result.latency.record(r.finish_ms - r.arrival_ms);
-    if (!r.deadline_met) ++result.deadline_violations;
-    result.frames.push_back(std::move(r));
-  }
-
+  const Timed timed{cfg, clock, controller, &result};
+  serve(schedules, /*workers=*/1, /*max_batch=*/1, &timed);
   result.makespan_ms = clock->now_ms() - t_begin;
-  for (std::size_t s = 0; s < n; ++s) {
-    const AdmissionStats& st = queues[s].stats();
-    result.stream_stats[static_cast<std::size_t>(s)] = st;
-    result.offered += st.offered;
-    result.served += st.served;
-    result.dropped_queue_full += st.dropped_queue_full;
-    result.dropped_deadline += st.dropped_deadline;
-  }
-  if (controller != nullptr) {
-    result.timeline = controller->timeline();
-    result.final_level = controller->level();
-    // A timed run must not leak degraded state into later runs.
-    if (policies_switched)
-      for (std::size_t s = 0; s < n; ++s)
-        set_stream_policy(static_cast<int>(s), saved_det[s], saved_reg[s]);
-    set_scale_cap(0);
-  }
   return result;
 }
 

@@ -10,12 +10,13 @@
 // plus an ArrivalQueue when frames are scheduled) and all model compute
 // flows through a shared ModelTable (runtime/stream_table.h) — one resident
 // master weight copy, leased per frame by a small pool of weight-aliased
-// contexts.  run()/run_serial()/run_table()/run_batched() drain the table
-// with one worker loop that dispatches one ready stream at a time and, for
-// run_batched(), parks rendered frames in same-scale buckets so several
-// streams share one backbone forward; run_timed() drives the same entries
-// from a virtual-time event loop.  1k+ streams therefore cost 1k
-// contexts-worth of kilobyte state, not 1k model clones.
+// contexts.  Every entry point serves through one worker loop that
+// dispatches one ready stream at a time: run()/run_serial()/run_table()
+// drain a job list, run_batched() also parks rendered frames in same-scale
+// buckets so several streams share one backbone forward, and run_timed()
+// delivers scheduled arrivals on a virtual clock that each frame's service
+// advances.  1k+ streams therefore cost 1k contexts-worth of kilobyte
+// state, not 1k model clones.
 //
 // Job assignment is static round-robin (stream s takes jobs s, s+N, ...), so
 // per-stream outputs are bit-identical to running the same jobs serially —
@@ -113,10 +114,11 @@ struct TimedRunConfig {
   bool run_inference = true;
 
   /// Modeled service time in virtual ms for one frame:
-  /// (stream, seq, scale_used, level) -> ms.  Null uses the measured
-  /// inference time of the frame (run_inference must then be true).  Tests
-  /// model service deterministically (e.g. quadratic in scale); loadgen
-  /// measures it.
+  /// (stream, seq, scale_used, level) -> ms.  Null charges the frame's
+  /// measured service: the wall time of both halves (render, flow, lease,
+  /// forward, decode, regressor), so run_inference must then be true.
+  /// Tests model service deterministically (e.g. quadratic in scale);
+  /// loadgen measures it.
   std::function<double(int stream, long seq, int scale_used, DegradeLevel level)>
       service_model;
 
@@ -259,30 +261,31 @@ class MultiStreamRunner {
   /// kernels are bit-identical to the single-image ones, per-stream outputs
   /// are memcmp-equal to run()/run_serial() no matter how frames happened
   /// to batch; timing fields (detect_ms/regressor_ms) are amortized per
-  /// frame.  A frame served alone keeps run_table's inline-kernel rule; a
-  /// batch of several fans out to the kernel pool.  Counters land in
-  /// MultiStreamResult::batch_stats.
+  /// frame.  A batch keeps run_table's inline-kernel rule, read off its
+  /// oldest frame.  Counters land in MultiStreamResult::batch_stats.
   MultiStreamResult run_batched(const std::vector<const Snippet*>& jobs,
                                 const BatchSchedulerConfig& cfg = {});
 
   /// Arrival-driven serving in virtual time: frames *arrive* on per-stream
   /// schedules (runtime/admission.h) instead of being pulled as fast as the
   /// hardware allows, pass through bounded deadline-stamped queues, and are
-  /// served round-robin by a single modeled worker that advances `clock` by
-  /// each frame's service time (modeled or measured) — so queueing, drops,
-  /// deadline slack and controller decisions are exact functions of the
-  /// schedule + config, reproducible bit-for-bit with no sleeps and no
-  /// dependence on machine speed or ADASCALE_THREADS.
+  /// served round-robin by one worker of run_table's loop, which advances
+  /// `clock` by each frame's charged service (cfg.service_model, or the
+  /// measured time of the whole frame) plus any injected fault.  With a
+  /// service_model, queueing, drops, deadline slack and controller
+  /// decisions are exact functions of the schedule + config, reproducible
+  /// bit-for-bit with no sleeps and no dependence on machine speed or
+  /// ADASCALE_THREADS.
   ///
   /// `schedules` must have exactly one (possibly empty) schedule per
   /// stream, each with finite, non-decreasing arrival times and, when
   /// cfg.run_inference, non-null scenes; anything else aborts naming the
   /// stream and frame.  `controller` is optional: null
   /// serves as configured no matter the backlog (the SLO baseline); with a
-  /// controller the runner feeds it one observation per loop tick (worst
+  /// controller the runner feeds it one observation at each pick (worst
   /// queue depth, worst head-of-line slack) and enforces whatever rung it
   /// chooses — scale caps via set_scale_cap, the degraded execution
-  /// policies, deadline-aware shedding.  The run ends when every schedule
+  /// policies, deadline-aware shedding — until the run ends.  The run ends when every schedule
   /// is exhausted and every queue has drained (served or shed — with no
   /// controller, queued frames are always served, even late).
   TimedRunResult run_timed(const std::vector<StreamSchedule>& schedules,
@@ -291,10 +294,14 @@ class MultiStreamRunner {
 
  private:
   struct Stream;
-  /// The one drain loop behind run_table (max_batch 1: every frame is
-  /// served by the worker that rendered it) and run_batched.
-  MultiStreamResult drain(const std::vector<const Snippet*>& jobs,
-                          const StreamTableConfig& cfg, int max_batch);
+  struct Timed;
+  /// The one dispatch loop behind every entry point: `workers` threads (0:
+  /// one per stream, up to the cores) serve one frame of a ready stream at
+  /// a time, batching up to `max_batch`.  Without `timed` the schedules are
+  /// a backlog on a clock that never moves; run_timed's one worker also
+  /// ticks the controller at each pick and charges each frame's service.
+  MultiStreamResult serve(const std::vector<StreamSchedule>& schedules,
+                          int workers, int max_batch, const Timed* timed);
 
   std::vector<std::unique_ptr<Stream>> streams_;
   std::unique_ptr<ModelTable> table_;  ///< shared weights + context pools

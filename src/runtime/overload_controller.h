@@ -95,8 +95,8 @@ struct DegradeEvent {
 };
 
 /// Watches queue pressure, walks the degradation ladder, recovers with
-/// hysteresis.  Single-threaded by design (driven from the virtual-time
-/// event loop); all timing through the injected clock.
+/// hysteresis.  Single-threaded by design (driven by run_timed's one
+/// worker); all timing through the injected clock.
 class OverloadController {
  public:
   /// `sreg` is the scale set targets are snapped onto when capped; `clock`

@@ -624,6 +624,27 @@ TEST_F(TimedRunTest, RealInferenceRespectsScaleCapAndResetsPerSnippet) {
   }
 }
 
+TEST_F(TimedRunTest, MeasuredServiceCoversTheWholeFrame) {
+  // Without a service_model a frame is charged the measured time of both
+  // halves: render, flow, lease, forward, decode and regressor.  That is
+  // more than the detect + regressor + flow time its output reports.
+  auto runner = make_runner(2);
+  ManualClock clock;
+  TimedRunConfig cfg;
+  cfg.admission.capacity = 64;
+  cfg.admission.deadline_ms = 1e6;  // accounting not under test here
+
+  TimedRunResult r = runner->run_timed(round_robin_schedules(2, 100.0, 3),
+                                       cfg, &clock, nullptr);
+  expect_accounting_invariants(r);
+  ASSERT_GT(r.served, 0);
+  for (const TimedFrameRecord& f : r.frames) {
+    ASSERT_FALSE(f.dropped);
+    EXPECT_GT(f.finish_ms - f.start_ms, f.output.total_ms())
+        << "stream " << f.stream << " frame " << f.seq;
+  }
+}
+
 TEST_F(TimedRunTest, RunTimedValidatesItsInputsLoudly) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   auto runner = make_runner(2);

@@ -10,16 +10,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/dataset.h"
 #include "nn/layer.h"
 #include "runtime/admission.h"
 #include "runtime/multi_stream.h"
+#include "runtime/overload_controller.h"
 #include "runtime/thread_pool.h"
 #include "tensor/gemm.h"
 #include "util/clock.h"
@@ -191,6 +195,19 @@ TEST_F(StreamTableTest, WorkersCoveringThePoolRunKernelsInline) {
   EXPECT_EQ(pool->helpers_submitted(), before_table);
 
   if (pool->num_threads() == 0) return;
+
+  // run_batched over the same streams: every first frame renders at the
+  // init scale, so they share one batch, and a batch keeps the lone
+  // frame's inline rule.  run_batched sizes its workers to the cores, so
+  // they cover the pool only when the host has a core per stream.
+  if (static_cast<int>(std::thread::hardware_concurrency()) >= workers) {
+    auto batched = make_runner(workers);
+    const std::uint64_t before_batched = pool->helpers_submitted();
+    const MultiStreamResult bat = batched->run_batched(jobs);
+    EXPECT_EQ(result_bytes(bat), ref);
+    EXPECT_GE(bat.batch_stats.batches, 1);
+    EXPECT_EQ(pool->helpers_submitted(), before_batched);
+  }
 
   // One stream fewer: one worker never gets a frame, the busy ones no
   // longer cover the pool, and the kernels fan out again.
@@ -522,6 +539,104 @@ TEST_F(StreamTableTest, ReplayFuzzTimedRunsAreByteDeterministic) {
     EXPECT_EQ(run1, run2) << "scenario " << scenario << " not replayable";
     EXPECT_FALSE(run1.empty());
   }
+}
+
+TEST_F(StreamTableTest, TimedRunBytesMatchTheirRecordedHash) {
+  // Repeat runs agreeing (above) cannot show that the bytes moved between
+  // commits; this hash can.  Three service-model scenarios cover queue-full
+  // drops and an idle stream, a fault spike, and a controller that climbs
+  // every rung to kShed and back.  Schedules come from schedules_from_jobs
+  // at a positive interval plus hand-written bursts, and service is
+  // polynomial in scale, so no libm call feeds the hash.
+  const auto jobs = val_jobs();
+  auto modeled = [](double base_ms) {
+    TimedRunConfig cfg;
+    cfg.run_inference = false;
+    cfg.service_model = [base_ms](int stream, long seq, int scale,
+                                  DegradeLevel) {
+      const double f = static_cast<double>(scale) / 600.0;
+      return base_ms * f * f + 0.25 * static_cast<double>(stream) +
+             0.125 * static_cast<double>(seq % 3);
+    };
+    return cfg;
+  };
+  auto burst = [&](int frames, double at_ms) {
+    StreamSchedule s;
+    for (int f = 0; f < frames; ++f)
+      s.push_back({at_ms, &jobs[0]->frames[static_cast<std::size_t>(f) %
+                                           jobs[0]->frames.size()],
+                   f == 0});
+    return s;
+  };
+  std::string bytes;
+
+  // Queue-full drops beside an idle stream: stream 1's burst overflows a
+  // 3-deep queue while stream 2 never offers a frame.
+  {
+    std::vector<StreamSchedule> schedules{
+        schedules_from_jobs(jobs, 1, /*frame_interval_ms=*/4.0)[0],
+        burst(10, 10.0), StreamSchedule{}};
+    TimedRunConfig cfg = modeled(6.0);
+    cfg.admission.capacity = 3;
+    cfg.admission.deadline_ms = 40.0;
+    auto runner = make_runner(3, /*contexts=*/1);
+    ManualClock clock;
+    const TimedRunResult r = runner->run_timed(schedules, cfg, &clock);
+    EXPECT_GT(r.dropped_queue_full, 0);
+    EXPECT_EQ(r.stream_stats[2].offered, 0);
+    bytes += timed_replay_bytes(r);
+  }
+  // A fault spike: frames 3..5 of every stream stall 35 ms and miss their
+  // deadline.
+  {
+    TimedRunConfig cfg = modeled(7.0);
+    cfg.admission.capacity = 4;
+    cfg.admission.deadline_ms = 30.0;
+    cfg.faults = FaultInjection::global_spike(3, 5, 35.0);
+    auto runner = make_runner(2, /*contexts=*/1);
+    ManualClock clock;
+    const TimedRunResult r = runner->run_timed(
+        schedules_from_jobs(jobs, 2, /*frame_interval_ms=*/10.0), cfg,
+        &clock);
+    EXPECT_GT(r.deadline_violations, 0);
+    bytes += timed_replay_bytes(r);
+  }
+  // The whole ladder: a burst walks the controller up through the scale
+  // cap and the policy switch to shedding, and stream 0's steady tail
+  // brings it back to normal.
+  {
+    std::vector<const Snippet*> tail;
+    for (int rep = 0; rep < 3; ++rep)
+      tail.insert(tail.end(), jobs.begin(), jobs.end());
+    std::vector<StreamSchedule> schedules{
+        schedules_from_jobs(tail, 1, /*frame_interval_ms=*/25.0)[0],
+        burst(16, 50.0)};
+    TimedRunConfig cfg = modeled(12.0);
+    cfg.admission.capacity = 16;
+    cfg.admission.deadline_ms = 60.0;
+    auto runner = make_runner(2, /*contexts=*/1);
+    ManualClock clock;
+    OverloadControllerConfig ccfg;
+    ccfg.queue_high = 3;
+    ccfg.calm_ticks = 3;
+    ccfg.enable_policy_switch = true;
+    OverloadController controller(ccfg, ScaleSet::reg_default(), &clock);
+    const TimedRunResult r =
+        runner->run_timed(schedules, cfg, &clock, &controller);
+    EXPECT_GT(r.dropped_deadline, 0);
+    DegradeLevel worst = DegradeLevel::kNormal;
+    for (const DegradeEvent& e : r.timeline) worst = std::max(worst, e.to);
+    EXPECT_EQ(worst, DegradeLevel::kShed);
+    EXPECT_EQ(r.final_level, DegradeLevel::kNormal);
+    bytes += timed_replay_bytes(r);
+  }
+
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a, 64-bit
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  EXPECT_EQ(hash, 0x4d0d5951c401519cULL) << std::hex << "hash 0x" << hash;
 }
 
 TEST_F(StreamTableTest, ReplayFuzzTableIsDeterministicAcrossWorkerCounts) {

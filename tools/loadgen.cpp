@@ -6,10 +6,11 @@
 // schedules over a mix of scenario snippets (drone / driving / mixed
 // themes), pass through bounded deadline-stamped admission queues
 // (runtime/admission.h), and are served by MultiStreamRunner::run_timed in
-// virtual time — service cost is the *measured* per-frame inference time of
-// the trained models, but queueing/deadline arithmetic advances an injected
-// ManualClock, so a minutes-long overload scenario replays in seconds and
-// the same seed gives the same arrival trace on any machine.
+// virtual time — each frame is charged its *measured* wall time on the
+// trained models (render, lease, forward, decode, regressor), but
+// queueing/deadline arithmetic advances an injected ManualClock, so a
+// minutes-long overload scenario replays in seconds and the same seed gives
+// the same arrival trace on any machine.
 //
 // Two runs over the same schedules: an uncontrolled baseline (serve
 // everything at whatever the backlog does to latency) and a run under the
@@ -25,11 +26,11 @@
 //   --snippets N         snippets per stream (default 6)
 //   --rate HZ            per-stream base arrival rate (0 = auto: ~0.6x
 //                        aggregate capacity at scale 600)
-//   --burst-rate HZ      per-stream in-burst rate (0 = auto: ~3x capacity)
+//   --burst-rate HZ      per-stream in-burst rate (0 = auto: ~2x capacity)
 //   --burst-period MS    burst cycle length (default 1000)
 //   --burst-len MS       burst window inside each cycle (default 400;
 //                        0 = pure Poisson, no bursts)
-//   --deadline MS        per-frame deadline (0 = auto: 10x measured
+//   --deadline MS        per-frame deadline (0 = auto: 15x measured
 //                        service at scale 600)
 //   --capacity N         per-stream admission queue bound (default 64)
 //   --scale-cap N        controller's degraded scale (default 360)
@@ -50,6 +51,7 @@
 #include "runtime/overload_controller.h"
 #include "util/clock.h"
 #include "util/json.h"
+#include "util/timer.h"
 
 using namespace ada;
 
@@ -205,7 +207,8 @@ int main(int argc, char** argv) {
               scenario_theme(opt.scenario, s * opt.snippets + j), &gen_rng));
 
   // Calibrate service cost at scale 600 on a few frames so auto rates and
-  // deadlines mean the same thing on every machine.
+  // deadlines mean the same thing on every machine.  A frame is timed
+  // whole, render included, because that is what the timed run charges.
   double svc600_ms;
   {
     AdaScalePipeline probe(det.get(), reg.get(), &h.renderer(),
@@ -215,12 +218,11 @@ int main(int argc, char** argv) {
     const Snippet& clip = stream_snippets[0][0];
     probe.process(clip.frames[0]);  // warm caches/arena
     probe.reset();
-    double total = 0.0;
+    Timer probe_timer;
     const int probe_frames = std::min(4, clip.num_frames());
     for (int f = 0; f < probe_frames; ++f)
-      total += probe.process(clip.frames[static_cast<std::size_t>(f)])
-                   .total_ms();
-    svc600_ms = total / probe_frames;
+      probe.process(clip.frames[static_cast<std::size_t>(f)]);
+    svc600_ms = probe_timer.elapsed_ms() / probe_frames;
   }
   const double capacity_hz = 1000.0 / svc600_ms;  // one shared worker
   // Auto rates: healthy between bursts (0.6x capacity at scale 600),
